@@ -43,6 +43,7 @@ from .predictors import (
     PreconditionError,
     predict_multgraph_vs_star,
     predict_star_vs_multgraph,
+    verdicts_to_jsonl,
     verify_family,
 )
 from .randomlab import ExperimentConfig, run_sweep
@@ -226,8 +227,7 @@ def cmd_verify(args) -> int:
         except json.JSONDecodeError as e:
             raise CliError(f"bad family spec: {e}")
     verdicts = verify_family(spec)
-    lines = [json.dumps(v.to_json_dict(), sort_keys=True) for v in verdicts]
-    text = "\n".join(lines) + ("\n" if lines else "")
+    text = verdicts_to_jsonl(verdicts)
     _write_output(text, args.out)
     _write_manifest(args, "verify", None, text, t0)
     bad = [v for v in verdicts if v.asserted and not v.agree]

@@ -159,7 +159,3 @@ def star_mult_configs(n_total: int, centers: Sequence[int],
 def random_graph(n: int, p: float, rng: random.Random) -> SimpleGraph:
     edges = [e for e in _edge_pairs(n) if rng.random() < p]
     return SimpleGraph(n, edges)
-
-
-def random_bipartite_pair_sides(n: int) -> tuple[list[int], list[int]]:
-    return list(range(n)), list(range(n, 2 * n))

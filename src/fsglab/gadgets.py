@@ -27,11 +27,11 @@ from typing import Optional
 
 from .graphs import (
     SimpleGraph,
-    bipartition,
     articulation_analysis,
     is_theta0,
     is_valid_bipartition,
 )
+from .statespace import FSSpace, reachable
 
 
 class InfeasibleParamsError(ValueError):
@@ -739,24 +739,12 @@ def check_gadget_exchangeability(pair_or_graphs, budget: int = 2_000_000,
         return ExchangeabilityResult(answer=None, state_space=size, explored=0)
     ident = tuple(range(n))
     target = tuple(u if t == v else v if t == u else t for t in ident)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for p, q_ in g.edge_list:
-                if h.has_edge(cur[p], cur[q_]):
-                    b = list(cur)
-                    b[p], b[q_] = b[q_], b[p]
-                    tb = tuple(b)
-                    if tb in seen:
-                        continue
-                    if tb == target:
-                        return ExchangeabilityResult(True, size, len(seen))
-                    seen.add(tb)
-                    nxt.append(tb)
-        frontier = nxt
-    return ExchangeabilityResult(False, size, len(seen))
+    explored = 1
+    for s in reachable(FSSpace(g, h), ident):
+        if s == target:
+            return ExchangeabilityResult(True, size, explored)
+        explored += 1
+    return ExchangeabilityResult(False, size, explored)
 
 
 # ---- respecting embeddings -----------------------------------------------------

@@ -9,7 +9,6 @@ Vertices are always ``0..n-1``; edges are unordered pairs stored once as
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -653,14 +652,3 @@ def graph_from_json_dict(d: dict):
     if "mult" in d and d["mult"] is not None:
         return MultiplicityGraph(g, [int(c) for c in d["mult"]])
     return g
-
-
-def load_graph(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json_dict(json.load(fh))
-
-
-def dump_graph(g, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json_dict(g), fh)
-        fh.write("\n")

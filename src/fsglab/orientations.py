@@ -264,33 +264,7 @@ def partition_by(relation: str, host: SimpleGraph,
 
 def linear_extensions(o: Orientation) -> list[tuple[int, ...]]:
     """All bijections (position -> vertex) that induce this orientation."""
-    n = o.host.n
-    indeg = [0] * n
-    for outs in (o.out_neighbors(v) for v in range(n)):
-        for w in outs:
-            indeg[w] += 1
-    out: list[tuple[int, ...]] = []
-    order: list[int] = []
-    used = [False] * n
-
-    def rec():
-        if len(order) == n:
-            out.append(tuple(order))
-            return
-        for v in range(n):
-            if not used[v] and indeg[v] == 0:
-                used[v] = True
-                for w in o.out_neighbors(v):
-                    indeg[w] -= 1
-                order.append(v)
-                rec()
-                order.pop()
-                for w in o.out_neighbors(v):
-                    indeg[w] += 1
-                used[v] = False
-
-    rec()
-    return out
+    return list(iter_linear_extensions(o))
 
 
 def iter_linear_extensions(o: Orientation) -> Iterator[tuple[int, ...]]:

@@ -9,6 +9,14 @@ Three variants share one interface:
   matrices (rows = labels, columns = positions).
 
 Arrangements are plain tuples so they hash cheaply into dense index tables.
+
+Two traversals answer every reachability question, and nothing else here
+walks a state space:
+
+* ``reachable`` -- breadth-first search from one arrangement, for queries
+  about a single component (exchangeability, component invariants).
+* ``build_components`` -- one union-find pass over the whole space, for the
+  full component partition.
 """
 
 from __future__ import annotations
@@ -317,15 +325,14 @@ class _UnionFind:
 
 
 def build_components(
-    x, y, budget: Optional[int] = None, variant: str = "fs", space=None
+    x, y, budget: Optional[int] = None, variant: str = "fs"
 ) -> ComponentsReport:
     """Exact component partition of the full arrangement space.
 
     Component ids are dense and assigned in order of each component's first
     arrangement in the canonical enumeration, so reports are deterministic.
     """
-    if space is None:
-        space = space_for(x, y, variant)
+    space = space_for(x, y, variant)
     total = space.count()
     if budget is not None and total > budget:
         raise BudgetExceededError(total, budget)
@@ -357,6 +364,30 @@ def build_components(
     )
 
 
+def reachable(space, start, budget: Optional[int] = None) -> Iterator:
+    """The arrangements reachable from ``start`` by friendly swaps, in
+    breadth-first order, ``start`` itself excluded.
+
+    Each new arrangement is yielded before it counts against ``budget``, so
+    a caller that stops at the arrangement that would exceed the budget gets
+    its answer; resuming past it raises ``BudgetExceededError``.
+    """
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for nb in space.neighbors(cur):
+                if nb in seen:
+                    continue
+                yield nb
+                seen.add(nb)
+                nxt.append(nb)
+                if budget is not None and len(seen) > budget:
+                    raise BudgetExceededError(len(seen), budget)
+        frontier = nxt
+
+
 def is_exchangeable(x, y, a, u: int, v: int, budget: Optional[int] = None,
                     variant: str = "fs") -> bool:
     """Whether a pair can be transposed by a chain of friendly swaps.
@@ -379,24 +410,7 @@ def is_exchangeable(x, y, a, u: int, v: int, budget: Optional[int] = None,
         target = tuple(b)
     else:
         raise ValueError("exchangeability is defined for fs and fsm variants")
-    if target == a:
-        return True
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for nb in space.neighbors(cur):
-                if nb in seen:
-                    continue
-                if nb == target:
-                    return True
-                seen.add(nb)
-                nxt.append(nb)
-                if budget is not None and len(seen) > budget:
-                    raise BudgetExceededError(len(seen), budget)
-        frontier = nxt
-    return False
+    return target == a or any(s == target for s in reachable(space, a, budget))
 
 
 # -- audits -------------------------------------------------------------------
@@ -465,30 +479,21 @@ def quotient_audit(x: SimpleGraph, y: MultiplicityGraph,
     """Verify that collapsing lift arrangements by block projection yields
     exactly the multiplicity-variant component partition."""
     lifted, cliques = lift(y)
-    space = FSSpace(x, lifted)
-    total = space.count()
-    if budget is not None and total > budget:
-        raise BudgetExceededError(total, budget)
-    arrangements = list(space.enumerate())
-    index = {a: i for i, a in enumerate(arrangements)}
+    lifted_report = build_components(x, lifted, budget=budget, variant="fs")
+    # glue components holding equal block projections (label permutations
+    # within blocks)
     block_of = cliques.block_of
-    uf = _UnionFind(total)
-    for i, a in enumerate(arrangements):
-        for b in space.neighbors(a):
-            uf.union(i, index[b])
-    # glue equal-projection arrangements (label permutations within blocks)
+    uf = _UnionFind(lifted_report.component_count)
     groups: dict[tuple[int, ...], int] = {}
-    projections = []
-    for i, a in enumerate(arrangements):
+    for a, cid in lifted_report.component_id.items():
         proj = tuple(block_of[lab] for lab in a)
-        projections.append(proj)
         if proj in groups:
-            uf.union(i, groups[proj])
+            uf.union(cid, groups[proj])
         else:
-            groups[proj] = i
+            groups[proj] = cid
     projected: dict[int, set] = {}
-    for i in range(total):
-        projected.setdefault(uf.find(i), set()).add(projections[i])
+    for proj, cid in groups.items():
+        projected.setdefault(uf.find(cid), set()).add(proj)
     lifted_partition = {frozenset(s) for s in projected.values()}
 
     direct = build_components(x, y, budget=budget, variant="fsm")
@@ -552,21 +557,6 @@ def kbridge_component_invariant(
             p in allowed for p in range(x.n) if tau[p] == leaf
         )
 
-    if not invariant_holds(start):
-        return False
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for nb in space.neighbors(cur):
-                if nb in seen:
-                    continue
-                seen.add(nb)
-                if budget is not None and len(seen) > budget:
-                    raise BudgetExceededError(len(seen), budget)
-                if not invariant_holds(nb):
-                    return False
-                nxt.append(nb)
-        frontier = nxt
-    return True
+    return invariant_holds(start) and all(
+        invariant_holds(s) for s in reachable(space, start, budget)
+    )

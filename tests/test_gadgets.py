@@ -1,10 +1,12 @@
 """Gadget construction, validation, embeddings, exchangeability."""
 
+import itertools
 import math
 import random
 
 import pytest
 
+from fsglab import families
 from fsglab.graphs import (
     SimpleGraph,
     bipartition,
@@ -25,7 +27,11 @@ from fsglab.gadgets import (
     removable_set,
     validate_gadget,
 )
-from fsglab.statespace import build_components, is_exchangeable
+from fsglab.statespace import (
+    BudgetExceededError,
+    build_components,
+    is_exchangeable,
+)
 
 
 def test_derive_params_small_m_infeasible():
@@ -166,6 +172,27 @@ def test_exchangeability_miniature_false_when_disconnected():
     res = check_gadget_exchangeability((g, h), budget=10_000, u=2, v=3)
     assert res.answer is False
     assert not is_exchangeable(g, h, (0, 1, 2, 3), 2, 3, variant="fs")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exchangeability_agrees_with_is_exchangeable(n):
+    graphs = [g for g in families.graph_classes(n, connected=True) if g.n == n]
+    ident = tuple(range(n))
+    for g, h in itertools.product(graphs, repeat=2):
+        rep = build_components(g, h, variant="fs")
+        for u, v in itertools.combinations(range(n), 2):
+            res = check_gadget_exchangeability((g, h), u=u, v=v)
+            assert res.answer == is_exchangeable(g, h, ident, u, v)
+            if not res.answer:
+                assert res.explored == rep.component_sizes[rep.component_id[ident]]
+                continue
+            # explored counts the states seen before the target arrived, so
+            # that many fit the budget and one fewer does not
+            assert is_exchangeable(g, h, ident, u, v, budget=res.explored)
+            if res.explored > 1:
+                with pytest.raises(BudgetExceededError) as exc:
+                    is_exchangeable(g, h, ident, u, v, budget=res.explored - 1)
+                assert exc.value.required == res.explored
 
 
 def test_exchangeability_declines_huge_spaces():

@@ -202,6 +202,32 @@ def test_exchangeable_rejects_bad_arrangement():
         is_exchangeable(path_graph(3), path_graph(3), (0, 0, 2), 0, 1, variant="fs")
 
 
+def test_exchangeable_answers_before_charging_the_budget():
+    # FS(P3, K3) from (0, 1, 2) in BFS order: (1, 0, 2), (0, 2, 1),
+    # (1, 2, 0), (2, 0, 1), then the target (2, 1, 0) as the sixth state
+    x, y = path_graph(3), complete_graph(3)
+    assert is_exchangeable(x, y, (0, 1, 2), 0, 2, budget=5)
+    with pytest.raises(BudgetExceededError) as exc:
+        is_exchangeable(x, y, (0, 1, 2), 0, 2, budget=4)
+    assert exc.value.required == 5
+
+
+@pytest.mark.parametrize("x, y, a, u, v, variant", [
+    (path_graph(3), path_graph(3), (0, 1, 2), 0, 2, "fs"),
+    (path_graph(4), MultiplicityGraph(star_graph(3), (2, 1, 1)),
+     (0, 1, 2, 0), 1, 2, "fsm"),
+])
+def test_exchangeable_miss_charges_the_whole_component(x, y, a, u, v, variant):
+    rep = build_components(x, y, variant=variant)
+    size = rep.component_sizes[rep.component_id[a]]
+    assert size > 1
+    assert not is_exchangeable(x, y, a, u, v, budget=size, variant=variant)
+    for budget in range(1, size):
+        with pytest.raises(BudgetExceededError) as exc:
+            is_exchangeable(x, y, a, u, v, budget=budget, variant=variant)
+        assert exc.value.required == budget + 1
+
+
 def test_exchangeability_transfer_along_paths():
     # if a swap path avoids u, v then exchangeability of (u, v) transfers
     rng = random.Random(7)
@@ -301,6 +327,20 @@ def test_kbridge_invariant_excludes_other_components():
     # arrangements violating the containment sit in other components
     violating = (2, 0, 0, 0, 1)
     assert rep.component_id[start] != rep.component_id[violating]
+
+
+def test_kbridge_invariant_budget_covers_the_component():
+    x = path_graph(5)
+    star = MultiplicityGraph(star_graph(3), (3, 1, 1))
+    start = (1, 0, 0, 0, 2)
+    rep = build_components(x, star, variant="fsm")
+    size = rep.component_sizes[rep.component_id[start]]
+    assert kbridge_component_invariant(x, star, (1, 2, 3), 1, start, budget=size)
+    for budget in range(1, size):
+        with pytest.raises(BudgetExceededError) as exc:
+            kbridge_component_invariant(x, star, (1, 2, 3), 1, start,
+                                        budget=budget)
+        assert exc.value.required == budget + 1
 
 
 def test_kbridge_invariant_rejects_non_bridge():
