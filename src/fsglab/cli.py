@@ -22,27 +22,19 @@ import time
 from . import __version__
 from .graphs import (
     MultiplicityGraph,
-    SimpleGraph,
     complete_graph,
     cycle_graph,
     edgeless_graph,
     graph_from_json_dict,
-    graph_to_json_dict,
     path_graph,
     star_graph,
     as_multiplicity,
 )
 from .statespace import BudgetExceededError, build_components
-from .orientations import (
-    coprime_forest_connected,
-    predict_cycle_components,
-    predict_path_components,
-)
 from .predictors import (
     FAMILY_BUILDERS,
+    THEOREMS,
     PreconditionError,
-    predict_multgraph_vs_star,
-    predict_star_vs_multgraph,
     verdicts_to_jsonl,
     verify_family,
 )
@@ -101,9 +93,9 @@ def _write_output(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _write_manifest(args, subcommand: str, seed, output_text: str, t0: float):
+def _write_manifest(args, seed, output_text: str, t0: float):
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "config": {
             k: v for k, v in sorted(vars(args).items())
             if k not in ("func",) and v is not None
@@ -116,8 +108,8 @@ def _write_manifest(args, subcommand: str, seed, output_text: str, t0: float):
     }
     path = args.manifest
     if path is None:
-        path = (args.out + ".manifest.json") if getattr(args, "out", None) \
-            else f"{subcommand}-manifest.json"
+        path = (args.out + ".manifest.json") if args.out \
+            else f"{args.subcommand}-manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -133,87 +125,46 @@ def _resolve_seed(args) -> int:
 
 
 # -- subcommands --------------------------------------------------------------
+#
+# Each returns (primary output text, seed for the manifest, exit code); main
+# writes the output and the manifest and maps exceptions to exit codes.
 
 
-def cmd_components(args) -> int:
-    t0 = time.monotonic()
+def cmd_components(args):
     x = load_graph_arg(args.x)
     y = load_graph_arg(args.y)
-    try:
-        report = build_components(x, y, budget=args.budget, variant=args.variant)
-    except BudgetExceededError as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+    report = build_components(x, y, budget=args.budget, variant=args.variant)
     text = json.dumps(report.to_json_dict(include_ids=args.dump_ids),
                       sort_keys=True) + "\n"
-    _write_output(text, args.out)
-    _write_manifest(args, "components", None, text, t0)
-    return EXIT_OK
+    return text, None, EXIT_OK
 
 
-_THEOREMS = ("thm14", "thm16", "cor511", "path-count", "cycle-count")
-
-
-def cmd_predict(args) -> int:
-    t0 = time.monotonic()
+def cmd_predict(args):
     x = load_graph_arg(args.x)
-    theorem = args.theorem
-    oracle = None
-    if theorem == "thm14":
-        xm = as_multiplicity(x)
-        predicted = predict_star_vs_multgraph(xm)
-        if args.check:
-            rep = build_components(star_graph(xm.total), xm,
-                                   budget=args.budget, variant="fsm")
-            oracle = rep.component_count == 1
-    elif theorem == "thm16":
+    theorem = THEOREMS[args.theorem]
+    if args.theorem == "thm16":
         if not args.star:
             raise CliError("thm16 needs --star")
         star = as_multiplicity(load_graph_arg(args.star))
         if isinstance(x, MultiplicityGraph):
             raise CliError("thm16 takes a simple position graph for --x")
-        predicted = predict_multgraph_vs_star(x, star)
-        if args.check:
-            rep = build_components(x, star, budget=args.budget, variant="fsm")
-            oracle = rep.component_count == 1
-    elif theorem == "cor511":
-        xm = as_multiplicity(x)
-        predicted = coprime_forest_connected(xm)
-        if args.check:
-            rep = build_components(cycle_graph(xm.total), xm,
-                                   budget=args.budget, variant="fsm")
-            oracle = rep.component_count == 1
-    elif theorem == "path-count":
-        xm = as_multiplicity(x)
-        predicted = predict_path_components(xm)
-        if args.check:
-            rep = build_components(path_graph(xm.total), xm,
-                                   budget=args.budget, variant="fsm")
-            oracle = rep.component_count
-    elif theorem == "cycle-count":
-        xm = as_multiplicity(x)
-        predicted = predict_cycle_components(xm)
-        if args.check:
-            rep = build_components(cycle_graph(xm.total), xm,
-                                   budget=args.budget, variant="fsm")
-            oracle = rep.component_count
+        inputs = (x, star)
     else:
-        raise CliError(f"unknown theorem flag {theorem!r}")
-    payload = {"theorem": theorem, "predicted": predicted}
+        inputs = (as_multiplicity(x),)
+    predicted = theorem.predict(*inputs)
+    payload = {"theorem": args.theorem, "predicted": predicted}
+    code = EXIT_OK
     if args.check:
+        oracle = theorem.oracle(*inputs, budget=args.budget)
         payload["oracle"] = oracle
         payload["agree"] = predicted == oracle
-    text = json.dumps(payload, sort_keys=True) + "\n"
-    _write_output(text, args.out)
-    _write_manifest(args, "predict", None, text, t0)
-    if args.check and predicted != oracle:
-        print("disagreement between predictor and oracle", file=sys.stderr)
-        return EXIT_DISAGREE
-    return EXIT_OK
+        if predicted != oracle:
+            print("disagreement between predictor and oracle", file=sys.stderr)
+            code = EXIT_DISAGREE
+    return json.dumps(payload, sort_keys=True) + "\n", None, code
 
 
-def cmd_verify(args) -> int:
-    t0 = time.monotonic()
+def cmd_verify(args):
     spec = args.family
     if spec not in FAMILY_BUILDERS:
         try:
@@ -227,22 +178,17 @@ def cmd_verify(args) -> int:
         except json.JSONDecodeError as e:
             raise CliError(f"bad family spec: {e}")
     verdicts = verify_family(spec)
-    text = verdicts_to_jsonl(verdicts)
-    _write_output(text, args.out)
-    _write_manifest(args, "verify", None, text, t0)
     bad = [v for v in verdicts if v.asserted and not v.agree]
-    if bad:
-        for i, v in enumerate(bad):
-            path = f"counterexample-{i}.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(v.to_json_dict(), fh, indent=2, sort_keys=True)
-            print(f"counterexample written to {path}", file=sys.stderr)
-        return EXIT_DISAGREE
-    return EXIT_OK
+    for i, v in enumerate(bad):
+        path = f"{args.out}.counterexample-{i}.json" if args.out \
+            else f"counterexample-{i}.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(v.to_json_dict(), fh, indent=2, sort_keys=True)
+        print(f"counterexample written to {path}", file=sys.stderr)
+    return verdicts_to_jsonl(verdicts), None, EXIT_DISAGREE if bad else EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    t0 = time.monotonic()
+def cmd_sweep(args):
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -256,24 +202,15 @@ def cmd_sweep(args) -> int:
         cfg = ExperimentConfig.from_json_dict(raw)
     except (KeyError, ValueError) as e:
         raise CliError(f"bad sweep config: {e}")
-    result = run_sweep(cfg)
-    text = result.to_csv()
-    _write_output(text, args.out)
-    _write_manifest(args, "sweep", cfg.base_seed, text, t0)
-    return EXIT_OK
+    return run_sweep(cfg).to_csv(), cfg.base_seed, EXIT_OK
 
 
-def cmd_gadget(args) -> int:
-    t0 = time.monotonic()
-    try:
-        if args.asymptotic:
-            params = derive_params(args.rho, args.m)
-        else:
-            params = desk_params(args.rho, args.m)
-        pair = build_gadget(params)
-    except InfeasibleParamsError as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+def cmd_gadget(args):
+    if args.asymptotic:
+        params = derive_params(args.rho, args.m)
+    else:
+        params = desk_params(args.rho, args.m)
+    pair = build_gadget(params)
     payload = {
         "rho": args.rho,
         "requested": args.m,
@@ -282,19 +219,17 @@ def cmd_gadget(args) -> int:
         "g_edges": pair.g.m,
         "h_edges": pair.h.m,
     }
+    seed = 0 if args.validate and args.seed is None else args.seed
+    code = EXIT_OK
     if args.validate:
-        report = validate_gadget(pair, p3_samples=args.p3_samples,
-                                 seed=args.seed or 0)
+        report = validate_gadget(pair, p3_samples=args.p3_samples, seed=seed)
         payload["validation"] = report.to_json_dict()
+        if not report.passed:
+            print("structural validation failed", file=sys.stderr)
+            code = EXIT_DISAGREE
     if args.dump:
         payload["dump"] = pair.to_json_dict()
-    text = json.dumps(payload, sort_keys=True) + "\n"
-    _write_output(text, args.out)
-    _write_manifest(args, "gadget", args.seed, text, t0)
-    if args.validate and not payload["validation"]["passed"]:
-        print("structural validation failed", file=sys.stderr)
-        return EXIT_DISAGREE
-    return EXIT_OK
+    return json.dumps(payload, sort_keys=True) + "\n", seed, code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,8 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out")
+    outputs.add_argument("--manifest")
 
-    p = sub.add_parser("components", help="exact component report")
+    p = sub.add_parser("components", parents=[outputs],
+                       help="exact component report")
     p.add_argument("--x", required=True, help="graph JSON path or generator (path:5)")
     p.add_argument("--y", required=True)
     p.add_argument("--variant", choices=("fs", "fsm", "fsmm"), default="fs")
@@ -314,35 +253,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max state count (default 2e7)")
     p.add_argument("--dump-ids", action="store_true",
                    help="include the full arrangement-to-component map")
-    p.add_argument("--out")
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_components)
 
-    p = sub.add_parser("predict", help="structural connectivity predictors")
-    p.add_argument("--theorem", required=True, choices=_THEOREMS)
+    p = sub.add_parser("predict", parents=[outputs],
+                       help="structural connectivity predictors")
+    p.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
     p.add_argument("--x", required=True)
     p.add_argument("--star", help="star multiplicity graph (thm16)")
     p.add_argument("--check", action="store_true",
                    help="also run the brute-force oracle and compare")
     p.add_argument("--budget", type=int, default=20_000_000)
-    p.add_argument("--out")
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("verify", help="predictor-vs-oracle family sweeps")
+    p = sub.add_parser("verify", parents=[outputs],
+                       help="predictor-vs-oracle family sweeps")
     p.add_argument("family", help="bundled family name or JSON spec path")
-    p.add_argument("--out")
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", help="Monte Carlo threshold sweeps")
+    p = sub.add_parser("sweep", parents=[outputs],
+                       help="Monte Carlo threshold sweeps")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("gadget", help="build and audit exchange gadgets")
+    p = sub.add_parser("gadget", parents=[outputs],
+                       help="build and audit exchange gadgets")
     p.add_argument("--rho", type=int, required=True, choices=(1, 2, 3, 4))
     p.add_argument("--m", type=int, required=True,
                    help="scale knob (miniatures) or base size (--asymptotic)")
@@ -352,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", action="store_true")
     p.add_argument("--p3-samples", type=int, default=200)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_gadget)
     return parser
 
@@ -361,20 +294,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        text, seed, code = args.func(args)
+        _write_output(text, args.out)
+        _write_manifest(args, seed, text, t0)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
     except BudgetExceededError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except InfeasibleParamsError as e:
+        print(f"infeasible: {e}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except PreconditionError as e:
         print(f"precondition violated: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional
 
 from .graphs import (
     MultiplicityGraph,
     SimpleGraph,
     articulation_analysis,
-    as_multiplicity,
     contingency_count,
-    cyclic_order_count,
     find_blocking_chains,
     find_k_bridges,
     graph_to_json_dict,
@@ -151,6 +150,44 @@ def double_multiplicity_bridge_probe(
     )
 
 
+# -- the theorem table -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """A checked statement: its predictor and the oracle question it answers.
+
+    ``predict`` takes a multiplicity label graph x, or for thm16 a position
+    graph x and a multiplicity star.  The oracle runs ``positions(x.total)``
+    against the labels x, or x against the star when ``positions`` is None,
+    and reports ``component_count == 1`` when ``connected``, else
+    ``component_count``.
+    """
+
+    family: str
+    predict: Callable
+    positions: Optional[Callable[[int], SimpleGraph]]
+    connected: bool
+
+    def oracle(self, x, star=None, budget: Optional[int] = None):
+        if self.positions is None:
+            report = build_components(x, star, budget=budget, variant="fsm")
+        else:
+            report = build_components(self.positions(x.total), x,
+                                      budget=budget, variant="fsm")
+        return report.component_count == 1 if self.connected \
+            else report.component_count
+
+
+THEOREMS = {
+    "thm14": Theorem("star-positions", predict_star_vs_multgraph, star_graph, True),
+    "thm16": Theorem("star-labels", predict_multgraph_vs_star, None, True),
+    "cor511": Theorem("cycle-connectivity", coprime_forest_connected, cycle_graph, True),
+    "path-count": Theorem("path-count", predict_path_components, path_graph, False),
+    "cycle-count": Theorem("cycle-count", predict_cycle_components, cycle_graph, False),
+}
+
+
 # -- the sweep harness ----------------------------------------------------------
 
 
@@ -164,73 +201,36 @@ def _instance_dict(**kwargs) -> dict:
     return out
 
 
-def _star_family_verdicts(max_base_n: int, total_max: int) -> Iterator[Verdict]:
-    for x in families.multiplicity_graphs(max_base_n, total_max, connected=True):
-        predicted = predict_star_vs_multgraph(x)
-        report = build_components(star_graph(x.total), x, variant="fsm")
+def _theorem_verdicts(name: str, max_n: int, total_max: int) -> Iterator[Verdict]:
+    """Every multiplicity label graph of the family against its theorem's
+    positions; star positions need a connected label graph and record n."""
+    theorem = THEOREMS[name]
+    star = theorem.positions is star_graph
+    for x in families.multiplicity_graphs(max_n, total_max, connected=star):
+        if theorem.positions is cycle_graph and x.total < 3:
+            continue
         yield Verdict(
-            family="star-positions",
-            instance=_instance_dict(x=x, n=x.total),
-            predicted=predicted,
-            oracle=report.component_count == 1,
+            family=theorem.family,
+            instance=_instance_dict(x=x, n=x.total) if star else _instance_dict(x=x),
+            predicted=theorem.predict(x),
+            oracle=theorem.oracle(x),
         )
 
 
-def _bridge_family_verdicts(max_n: int, centers=(2, 3), sizes=(3, 4)) -> Iterator[Verdict]:
+def _bridge_family_verdicts(max_n: int) -> Iterator[Verdict]:
+    theorem = THEOREMS["thm16"]
     for n in range(3, max_n + 1):
-        stars = families.star_mult_configs(n, centers=centers, sizes=sizes)
+        stars = families.star_mult_configs(n, centers=(2, 3), sizes=(3, 4))
         if not stars:
             continue
         for x in families.graph_classes(n, connected=True):
             for star in stars:
-                predicted = predict_multgraph_vs_star(x, star)
-                report = build_components(x, star, variant="fsm")
                 yield Verdict(
-                    family="star-labels",
+                    family=theorem.family,
                     instance=_instance_dict(x=x, star=star),
-                    predicted=predicted,
-                    oracle=report.component_count == 1,
+                    predicted=theorem.predict(x, star),
+                    oracle=theorem.oracle(x, star),
                 )
-
-
-def _path_count_verdicts(max_base_n: int, total_max: int) -> Iterator[Verdict]:
-    for x in families.multiplicity_graphs(max_base_n, total_max):
-        predicted = predict_path_components(x)
-        report = build_components(path_graph(x.total), x, variant="fsm")
-        yield Verdict(
-            family="path-count",
-            instance=_instance_dict(x=x),
-            predicted=predicted,
-            oracle=report.component_count,
-        )
-
-
-def _cycle_count_verdicts(max_base_n: int, total_max: int) -> Iterator[Verdict]:
-    for x in families.multiplicity_graphs(max_base_n, total_max):
-        if x.total < 3:
-            continue
-        predicted = predict_cycle_components(x)
-        report = build_components(cycle_graph(x.total), x, variant="fsm")
-        yield Verdict(
-            family="cycle-count",
-            instance=_instance_dict(x=x),
-            predicted=predicted,
-            oracle=report.component_count,
-        )
-
-
-def _coprime_forest_verdicts(max_base_n: int, total_max: int) -> Iterator[Verdict]:
-    for x in families.multiplicity_graphs(max_base_n, total_max):
-        if x.total < 3:
-            continue
-        predicted = coprime_forest_connected(x)
-        report = build_components(cycle_graph(x.total), x, variant="fsm")
-        yield Verdict(
-            family="cycle-connectivity",
-            instance=_instance_dict(x=x),
-            predicted=predicted,
-            oracle=report.component_count == 1,
-        )
 
 
 def _cut_vertex_bound_verdicts(total_max: int) -> Iterator[Verdict]:
@@ -289,58 +289,45 @@ def _probe_family_verdicts(max_n: int, total_max: int) -> Iterator[Verdict]:
                     yield double_multiplicity_bridge_probe(x, star)
 
 
+# Each bundled family: its verdict generator and its default limits, the only
+# keys a spec may override.
 FAMILY_BUILDERS = {
-    "thm14-small": lambda: _star_family_verdicts(4, 6),
-    "thm16-small": lambda: _bridge_family_verdicts(6),
-    "thm51-small": lambda: _path_count_verdicts(4, 6),
-    "thm55-small": lambda: _cycle_count_verdicts(4, 6),
-    "cor511-small": lambda: _coprime_forest_verdicts(4, 6),
-    "cut-bound-small": lambda: _cut_vertex_bound_verdicts(6),
-    "double-mult-probe-small": lambda: _probe_family_verdicts(5, 6),
+    "thm14-small": (partial(_theorem_verdicts, "thm14"), {"max_n": 4, "total_max": 6}),
+    "thm16-small": (_bridge_family_verdicts, {"max_n": 6}),
+    "thm51-small": (partial(_theorem_verdicts, "path-count"), {"max_n": 4, "total_max": 6}),
+    "thm55-small": (partial(_theorem_verdicts, "cycle-count"), {"max_n": 4, "total_max": 6}),
+    "cor511-small": (partial(_theorem_verdicts, "cor511"), {"max_n": 4, "total_max": 6}),
+    "cut-bound-small": (_cut_vertex_bound_verdicts, {"total_max": 6}),
+    "double-mult-probe-small": (_probe_family_verdicts, {"max_n": 5, "total_max": 6}),
 }
 
 
-def verify_family(spec, limits: Optional[dict] = None) -> list[Verdict]:
+def verify_family(spec) -> list[Verdict]:
     """Run a named (or dict-configured) instance family.
 
-    A dict spec has the shape {"family": name, ...overrides}.  Disagreements
+    A dict spec has the shape {"family": name, ...overrides}; each override
+    must be one of that family's limits and a positive int.  Disagreements
     are returned as data; callers decide whether they are fatal.
     """
     if isinstance(spec, str):
-        name = spec
-        overrides: dict = {}
-    else:
-        name = spec.get("family")
-        overrides = {k: v for k, v in spec.items() if k != "family"}
-    if limits:
-        overrides.update(limits)
-    if name not in FAMILY_BUILDERS:
+        spec = {"family": spec}
+    if not isinstance(spec, dict):
+        raise ValueError("a family spec must be a JSON object")
+    name = spec.get("family")
+    if not isinstance(name, str) or name not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {name!r}")
-    if overrides:
-        builder = _family_with_overrides(name, overrides)
-    else:
-        builder = FAMILY_BUILDERS[name]()
-    return list(builder)
-
-
-def _family_with_overrides(name: str, ov: dict):
-    max_n = ov.get("max_n")
-    total_max = ov.get("total_max")
-    if name == "thm14-small":
-        return _star_family_verdicts(max_n or 4, total_max or 6)
-    if name == "thm16-small":
-        return _bridge_family_verdicts(max_n or 6)
-    if name == "thm51-small":
-        return _path_count_verdicts(max_n or 4, total_max or 6)
-    if name == "thm55-small":
-        return _cycle_count_verdicts(max_n or 4, total_max or 6)
-    if name == "cor511-small":
-        return _coprime_forest_verdicts(max_n or 4, total_max or 6)
-    if name == "cut-bound-small":
-        return _cut_vertex_bound_verdicts(total_max or 6)
-    if name == "double-mult-probe-small":
-        return _probe_family_verdicts(max_n or 5, total_max or 6)
-    raise ValueError(name)
+    builder, defaults = FAMILY_BUILDERS[name]
+    limits = dict(defaults)
+    for key, value in spec.items():
+        if key == "family":
+            continue
+        if key not in defaults:
+            raise ValueError(f"family {name!r} has no limit {key!r} "
+                             f"(its limits: {', '.join(sorted(defaults))})")
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"limit {key!r} must be a positive int, got {value!r}")
+        limits[key] = value
+    return list(builder(**limits))
 
 
 def verdicts_to_jsonl(verdicts: Iterable[Verdict]) -> str:

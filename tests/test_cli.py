@@ -1,10 +1,12 @@
 """Command-line interface: formats, exit codes, manifests, determinism."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+from fsglab import predictors
 from fsglab.cli import main
 
 
@@ -73,6 +75,26 @@ def test_predict_thm16(workdir, capsys):
     assert out["predicted"] is False and out["agree"] is True
 
 
+@pytest.mark.parametrize("theorem, x, expected", [
+    ("thm14", "path:4", False),
+    ("thm16", "star:4", True),
+    ("cor511", "cycle:5", False),
+    ("path-count", "path:4", 8),
+    ("cycle-count", "cycle:5", 20),
+    ("cycle-count", "path:4", 4),
+])
+def test_predict_check_every_theorem(workdir, capsys, theorem, x, expected):
+    argv = ["predict", "--theorem", theorem, "--x", x, "--check"]
+    if theorem == "thm16":
+        with open("star.json", "w") as fh:
+            json.dump({"n": 3, "edges": [[0, 1], [0, 2]], "mult": [2, 1, 1]}, fh)
+        argv += ["--star", "star.json"]
+    assert main(argv) == 0
+    payload = {"theorem": theorem, "predicted": expected, "oracle": expected,
+               "agree": True}
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+
+
 def test_predict_unknown_theorem(workdir):
     with pytest.raises(SystemExit):
         main(["predict", "--theorem", "thm99", "--x", "p3.json"])
@@ -92,6 +114,42 @@ def test_verify_spec_file(workdir, capsys):
 
 def test_verify_missing_spec(workdir):
     assert main(["verify", "nonexistent.json"]) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    [{"family": "thm14-small"}],
+    {"family": "thm16-small", "total_max": 3},
+    {"family": "cut-bound-small", "max_n": 3},
+    {"family": "thm14-small", "max_n": 0},
+    {"family": "thm14-small", "max_n": None},
+    {"family": "thm14-small", "maxn": 3},
+    {"family": "thm14-small", "max_n": True},
+    {"family": "thm14-small", "total_max": "3"},
+], ids=["list", "thm16-total_max", "cut-bound-max_n", "zero", "null",
+        "misspelled", "bool", "string"])
+def test_verify_rejects_bad_spec(workdir, capsys, spec):
+    with open("fam.json", "w") as fh:
+        json.dump(spec, fh)
+    assert main(["verify", "fam.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_counterexamples_beside_out(workdir, monkeypatch):
+    theorem = predictors.THEOREMS["path-count"]
+    monkeypatch.setitem(predictors.THEOREMS, "path-count",
+                        dataclasses.replace(theorem, predict=lambda x: 0))
+    with open("fam.json", "w") as fh:
+        json.dump({"family": "thm51-small", "max_n": 1, "total_max": 2}, fh)
+    os.mkdir("runs")
+    assert main(["verify", "fam.json", "--out", "runs/v.jsonl"]) == 4
+    rows = [json.loads(line) for line in open("runs/v.jsonl")]
+    assert len(rows) == 2 and not any(r["agree"] for r in rows)
+    assert sorted(os.listdir("runs")) == [
+        "v.jsonl", "v.jsonl.counterexample-0.json",
+        "v.jsonl.counterexample-1.json", "v.jsonl.manifest.json",
+    ]
+    assert json.load(open("runs/v.jsonl.counterexample-1.json")) == rows[1]
+    assert not [f for f in os.listdir(".") if f.startswith("counterexample")]
 
 
 def test_sweep_deterministic_bytes(workdir):
@@ -124,6 +182,17 @@ def test_gadget_validate_pass_and_infeasible(workdir, capsys):
     # test_c11_gadget_edge_budget_as_stated for the bound), so full
     # validation reports the disagreement exit code
     assert code == 4 and not checks["p4_edge_budget"]["passed"]
+
+
+@pytest.mark.parametrize("flags, seed", [
+    (["--validate"], 0),
+    (["--validate", "--seed", "7"], 7),
+    ([], None),
+])
+def test_gadget_manifest_records_validation_seed(workdir, flags, seed):
+    main(["gadget", "--rho", "2", "--m", "16", "--p3-samples", "5",
+          "--out", "g.json"] + flags)
+    assert json.load(open("g.json.manifest.json"))["seed"] == seed
 
 
 def test_gadget_asymptotic_mode_infeasible_small(workdir):

@@ -1,5 +1,6 @@
 """Connectivity predictors and the verification harness."""
 
+import hashlib
 import json
 import random
 
@@ -166,6 +167,27 @@ def test_verify_family_jsonl_roundtrip():
     assert len(rows) == len(verdicts)
     assert all(set(r) == {"family", "instance", "predicted", "oracle",
                           "agree", "asserted"} for r in rows)
+
+
+@pytest.mark.parametrize("family, limits, digest", [
+    ("thm14-small", {"max_n": 3, "total_max": 5},
+     "131c7be1135831d5e820f93d5897545ef9332c666579caf8d363ac3defef3e67"),
+    ("thm16-small", {"max_n": 4},
+     "ca045ba85c6499d919fb02991566880d5356bcf7c7272ef7b642f17a6bdd98fe"),
+    ("thm51-small", {"max_n": 3, "total_max": 5},
+     "9f9280bc00fe855fd495badf05518136624c1741471be74e204465f22a3fea59"),
+    ("thm55-small", {"max_n": 3, "total_max": 5},
+     "2e78fa851dd614ea4a1cd57afa0fce983163334baf3eda82df96addf777d0b02"),
+    ("cor511-small", {"max_n": 3, "total_max": 5},
+     "7a701485746b7e262622ca4bbc78376fdc1fc59a5b9bf5f98a6c5a824e11ddc7"),
+    ("cut-bound-small", {"total_max": 5},
+     "935e51e7811165bc72886a545ca3bd3a595bfa9d4935c919c25d92f72d04dd2e"),
+    ("double-mult-probe-small", {"max_n": 4, "total_max": 5},
+     "6ffb86452db419a2e778ef82a4cea60ee30e47586e3f2a580bfc9a057bfcf1eb"),
+])
+def test_verify_family_golden_digest(family, limits, digest):
+    text = verdicts_to_jsonl(verify_family({"family": family, **limits}))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_verify_family_unknown_name():
