@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, manifests, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -44,6 +45,28 @@ def test_components_generators_and_budget(workdir, capsys):
     capsys.readouterr()
     assert main(["components", "--x", "path:6", "--y", "path:6",
                  "--budget", "100"]) == 3
+
+
+@pytest.mark.parametrize("variant, x, y, digest", [
+    ("fs", "path:7", "cycle:7",
+     "26fef189efa411708060acc792e466e821ed636a0166ff8ea2d2bf53e662e47c"),
+    ("fsm", "cycle:7", {"n": 3, "edges": [[0, 1], [1, 2]], "mult": [3, 2, 2]},
+     "1328f34abb2132577072e99d5b89047c0aed5e3d9764add4552759630c09a11d"),
+    ("fsmm", {"n": 3, "edges": [[0, 1], [1, 2]], "mult": [2, 2, 2]},
+     {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "mult": [3, 1, 1, 1]},
+     "cda87c2ac63eb3d3b8d5236c741c18345ac1a70cdc7bfe0f9e1b0adc9fbeceae"),
+])
+def test_components_dump_ids_golden_digest(workdir, capsys, variant, x, y, digest):
+    args = []
+    for flag, g in (("--x", x), ("--y", y)):
+        if isinstance(g, dict):
+            with open(f"{flag[2:]}.json", "w") as fh:
+                json.dump(g, fh)
+            g = f"{flag[2:]}.json"
+        args += [flag, g]
+    assert main(["components", *args, "--variant", variant, "--dump-ids"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_components_bad_json(workdir):
