@@ -194,13 +194,15 @@ def cmd_sweep(args):
             raw = json.load(fh)
     except (FileNotFoundError, json.JSONDecodeError) as e:
         raise CliError(f"bad sweep config: {e}")
+    if not isinstance(raw, dict):
+        raise CliError("bad sweep config: it must be a JSON object")
     if args.seed is not None:
         raw["base_seed"] = args.seed
     if "base_seed" not in raw:
         raw["base_seed"] = _resolve_seed(args)
     try:
         cfg = ExperimentConfig.from_json_dict(raw)
-    except (KeyError, ValueError) as e:
+    except ValueError as e:
         raise CliError(f"bad sweep config: {e}")
     return run_sweep(cfg).to_csv(), cfg.base_seed, EXIT_OK
 

@@ -31,7 +31,7 @@ from .graphs import (
     is_theta0,
     is_valid_bipartition,
 )
-from .statespace import FSSpace, reachable
+from .statespace import reachable, space_for
 
 
 class InfeasibleParamsError(ValueError):
@@ -740,7 +740,7 @@ def check_gadget_exchangeability(pair_or_graphs, budget: int = 2_000_000,
     ident = tuple(range(n))
     target = tuple(u if t == v else v if t == u else t for t in ident)
     explored = 1
-    for s in reachable(FSSpace(g, h), ident):
+    for s in reachable(space_for(g, h, "fs"), ident):
         if s == target:
             return ExchangeabilityResult(True, size, explored)
         explored += 1

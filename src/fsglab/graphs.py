@@ -292,8 +292,10 @@ def wilson_star_components(g: SimpleGraph) -> Optional[int]:
     """Predicted component count of the star swap puzzle on g.
 
     Returns 1 for Wilsonian graphs, 2 for biconnected bipartite graphs that
-    are neither long cycles nor the exceptional graph, and None when the
-    count is larger (cycles, cut vertices, the exceptional graph, ...).
+    are neither long cycles nor the exceptional graph, and None when
+    Wilson's theorem does not decide the count (fewer than three vertices,
+    cut vertices, cycles, the exceptional graph).  None does not mean the
+    count is large: FS(star, P3) and FS(star, C4) have two components.
     """
     if g.n < 3:
         return None

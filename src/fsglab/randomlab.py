@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence
 
+from .families import random_graph
 from .graphs import SimpleGraph, bipartition
 from .statespace import BudgetExceededError, build_components
 
@@ -41,13 +42,7 @@ def sample_gnp(n: int, p: float, seed: int) -> SimpleGraph:
     """One draw per pair (i, j), i < j, in lexicographic order."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rng = random.Random(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
-    return SimpleGraph(n, edges)
+    return random_graph(n, p, random.Random(seed))
 
 
 def sample_bipartite(n: int, p: float, seed: int) -> SimpleGraph:
@@ -258,16 +253,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        cfg = cls(
-            model=d["model"],
-            n=int(d["n"]),
-            p_grid=[float(p) for p in d["p_grid"]],
-            trials=int(d["trials"]),
-            base_seed=int(d["base_seed"]),
-            statistic=d["statistic"],
-            node_budget=int(d.get("node_budget", 500_000)),
-            state_budget=int(d.get("state_budget", 200_000)),
-        )
+        """A validated config from a parsed JSON object; each error names
+        its key."""
+        known = {f.name: f for f in fields(cls)}
+        for key in d:
+            if key not in known:
+                raise ValueError(f"unknown key {key!r} "
+                                 f"(keys: {', '.join(known)})")
+        for key, f in known.items():
+            if key not in d and f.default is MISSING:
+                raise ValueError(f"missing key {key!r}")
+        for key in ("n", "trials", "base_seed", "node_budget", "state_budget"):
+            value = d.get(key, 0)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key!r} must be an int, got {value!r}")
+        p_grid = d["p_grid"]
+        if not isinstance(p_grid, list) or any(
+            isinstance(p, bool) or not isinstance(p, (int, float)) for p in p_grid
+        ):
+            raise ValueError(f"'p_grid' must be a list of numbers, got {p_grid!r}")
+        cfg = cls(**{**d, "p_grid": [float(p) for p in p_grid]})
         cfg.validate()
         return cfg
 

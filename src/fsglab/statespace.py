@@ -1,12 +1,13 @@
 """Friends-and-strangers state spaces over arrangements.
 
-Three variants share one interface:
+Three variants, two space classes with one interface:
 
-* ``fs``   -- both graphs simple; arrangements are label bijections.
 * ``fsm``  -- positions simple, labels carry multiplicities; arrangements
-  are label vectors with prescribed label counts.
+  are label vectors with prescribed label counts (``FSmSpace``).
+* ``fs``   -- both graphs simple; ``fsm`` with every label multiplicity 1,
+  so arrangements are label bijections (also ``FSmSpace``).
 * ``fsmm`` -- both sides carry multiplicities; arrangements are count
-  matrices (rows = labels, columns = positions).
+  matrices (rows = labels, columns = positions) (``FSmmSpace``).
 
 Arrangements are plain tuples so they hash cheaply into dense index tables.
 
@@ -59,42 +60,11 @@ class InvalidArrangementError(ValueError):
 # -- spaces -------------------------------------------------------------------
 
 
-class FSSpace:
-    """FS(X, Y): bijections from positions V(X) to labels V(Y)."""
-
-    variant = "fs"
-
-    def __init__(self, x: SimpleGraph, y: SimpleGraph):
-        if x.n != y.n:
-            raise IncompatibleSizesError(
-                f"|V(X)|={x.n} but |V(Y)|={y.n}"
-            )
-        self.x = x
-        self.y = y
-
-    def count(self) -> int:
-        return math.factorial(self.x.n)
-
-    def enumerate(self) -> Iterator[tuple[int, ...]]:
-        return itertools.permutations(range(self.y.n))
-
-    def is_valid(self, a: Sequence[int]) -> bool:
-        return sorted(a) == list(range(self.y.n))
-
-    def neighbors(self, a: tuple[int, ...]) -> list[tuple[int, ...]]:
-        out = []
-        for p, q in self.x.edge_list:
-            if self.y.has_edge(a[p], a[q]):
-                b = list(a)
-                b[p], b[q] = b[q], b[p]
-                out.append(tuple(b))
-        return out
-
-
 class FSmSpace:
-    """FSm(X, Y): label vectors over positions V(X), label y used mult[y] times."""
+    """FSm(X, Y): label vectors over positions V(X), label y used mult[y] times.
 
-    variant = "fsm"
+    With every multiplicity 1 the vectors are the bijections of FS(X, Y).
+    """
 
     def __init__(self, x: SimpleGraph, y: MultiplicityGraph):
         if x.n != y.total:
@@ -111,6 +81,9 @@ class FSmSpace:
         return c
 
     def enumerate(self) -> Iterator[tuple[int, ...]]:
+        # the same lexicographic order, from C rather than Python recursion
+        if all(k == 1 for k in self.y.mult):
+            return itertools.permutations(range(self.x.n))
         return _multiset_permutations(list(self.y.mult), self.x.n)
 
     def is_valid(self, a: Sequence[int]) -> bool:
@@ -140,8 +113,6 @@ class FSmmSpace:
     y1y2 in E(Y).  With all X-multiplicities equal to 1 this is exactly the
     fsm variant.
     """
-
-    variant = "fsmm"
 
     def __init__(self, x: MultiplicityGraph, y: MultiplicityGraph):
         if x.total != y.total:
@@ -247,7 +218,7 @@ def _bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[i
 
 def space_for(x, y, variant: str):
     if variant == "fs":
-        return FSSpace(_as_simple(x), _as_simple(y))
+        return FSmSpace(_as_simple(x), as_multiplicity(_as_simple(y)))
     if variant == "fsm":
         return FSmSpace(_as_simple(x), as_multiplicity(y))
     if variant == "fsmm":
@@ -336,31 +307,30 @@ def build_components(
     total = space.count()
     if budget is not None and total > budget:
         raise BudgetExceededError(total, budget)
-    arrangements = list(space.enumerate())
-    index = {a: i for i, a in enumerate(arrangements)}
+    # one arrangement-keyed table: enumeration index first, component id after
+    index = {a: i for i, a in enumerate(space.enumerate())}
     uf = _UnionFind(total)
     links = 0
-    for i, a in enumerate(arrangements):
+    for i, a in enumerate(index):
         for b in space.neighbors(a):
             links += 1
             uf.union(i, index[b])
-    ids: dict = {}
     root_id: dict[int, int] = {}
     sizes: list[int] = []
-    for i, a in enumerate(arrangements):
+    for i, a in enumerate(index):
         r = uf.find(i)
         if r not in root_id:
             root_id[r] = len(sizes)
             sizes.append(0)
         cid = root_id[r]
         sizes[cid] += 1
-        ids[a] = cid
+        index[a] = cid
     return ComponentsReport(
         component_count=len(sizes),
         component_sizes=sizes,
         vertex_count=total,
         edge_count=links // 2,
-        component_id=ids,
+        component_id=index,
     )
 
 

@@ -192,6 +192,29 @@ def test_sweep_bad_config(workdir):
     assert main(["sweep", "--config", "bad.json"]) == 2
 
 
+ISO = {"model": "gnp", "n": 6, "p_grid": [0.0, 0.5, 1.0], "trials": 3,
+       "base_seed": 11, "statistic": "isolated-vertex"}
+
+
+@pytest.mark.parametrize("config, named", [
+    ([1, 2], "JSON object"),
+    ({**ISO, "p_grid": 0.5}, "'p_grid'"),
+    ({**ISO, "p_grid": [0.5, "1"]}, "'p_grid'"),
+    ({**ISO, "trials": "3"}, "'trials'"),
+    ({**ISO, "trials": True}, "'trials'"),
+    ({**ISO, "n": 6.0}, "'n'"),
+    ({**ISO, "trails": 3}, "'trails'"),
+    ({k: v for k, v in ISO.items() if k != "statistic"}, "'statistic'"),
+], ids=["list", "p_grid-number", "p_grid-string", "trials-string",
+        "trials-bool", "n-float", "misspelled", "missing"])
+def test_sweep_rejects_bad_config(workdir, capsys, config, named):
+    with open("bad.json", "w") as fh:
+        json.dump(config, fh)
+    assert main(["sweep", "--config", "bad.json", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad sweep config: ") and named in err
+
+
 def test_gadget_validate_pass_and_infeasible(workdir, capsys):
     assert main(["gadget", "--rho", "1", "--m", "8", "--validate"]) == 5
     capsys.readouterr()

@@ -29,8 +29,10 @@ from fsglab.graphs import (
     path_graph,
     star_graph,
     theta0,
+    wilson_star_components,
 )
 from fsglab import families
+from fsglab.statespace import build_components
 
 
 def random_graph_strategy(max_n=6):
@@ -187,6 +189,20 @@ def test_wilsonian_implies_biconnected_nonbipartite(g):
     if is_wilsonian(g):
         assert articulation_analysis(g)[1]
         assert bipartition(g) is None
+
+
+def test_wilson_star_components_matches_oracle():
+    # Wilson (1974): the star puzzle on g, checked exhaustively through n = 6
+    decided = {1: 0, 2: 0}
+    for n in range(1, 7):
+        for g in families.graph_classes(n):
+            predicted = wilson_star_components(g)
+            if predicted is None:
+                continue
+            decided[predicted] += 1
+            rep = build_components(star_graph(n), g, variant="fs")
+            assert rep.component_count == predicted, g
+    assert decided == {1: 62, 2: 5}
 
 
 # -- lift -------------------------------------------------------------------------
