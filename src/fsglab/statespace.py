@@ -1,13 +1,13 @@
 """Friends-and-strangers state spaces over arrangements.
 
-Three variants, two space classes with one interface:
+Three variants share one interface, served by two space classes:
 
-* ``fsm``  -- positions simple, labels carry multiplicities; arrangements
-  are label vectors with prescribed label counts (``FSmSpace``).
-* ``fs``   -- both graphs simple; ``fsm`` with every label multiplicity 1,
-  so arrangements are label bijections (also ``FSmSpace``).
-* ``fsmm`` -- both sides carry multiplicities; arrangements are count
-  matrices (rows = labels, columns = positions) (``FSmmSpace``).
+* ``fsm``  -- ``FSmSpace``: positions simple, labels carry multiplicities;
+  arrangements are label vectors with prescribed label counts.
+* ``fs``   -- ``FSmSpace`` with every label multiplicity 1: both graphs
+  simple, and arrangements are label bijections.
+* ``fsmm`` -- ``FSmmSpace``: both sides carry multiplicities; arrangements
+  are count matrices (rows = labels, columns = positions).
 
 Arrangements are plain tuples so they hash cheaply into dense index tables.
 
@@ -89,7 +89,7 @@ class FSmSpace:
     def is_valid(self, a: Sequence[int]) -> bool:
         counts = [0] * self.y.base.n
         for lab in a:
-            if not 0 <= lab < self.y.base.n:
+            if not isinstance(lab, int) or not 0 <= lab < self.y.base.n:
                 return False
             counts[lab] += 1
         return tuple(counts) == self.y.mult

@@ -200,6 +200,11 @@ def test_exchangeable_fsm_positions():
 def test_exchangeable_rejects_bad_arrangement():
     with pytest.raises(InvalidArrangementError):
         is_exchangeable(path_graph(3), path_graph(3), (0, 0, 2), 0, 1, variant="fs")
+    # labels are ints, not numbers equal to them
+    with pytest.raises(InvalidArrangementError):
+        is_exchangeable(path_graph(3), path_graph(3), (0, 1.0, 2), 0, 1, variant="fs")
+    with pytest.raises(InvalidArrangementError):
+        is_exchangeable(path_graph(3), EDGE12, (1, 0.0, 1), 0, 1, variant="fsm")
 
 
 def test_exchangeable_answers_before_charging_the_budget():
