@@ -247,9 +247,11 @@ class ExperimentConfig:
         if self.statistic == "balance-success" and self.model != "bipartite":
             raise ValueError("balance-success needs the bipartite model")
         if any(not 0.0 <= p <= 1.0 for p in self.p_grid):
-            raise ValueError("probabilities must lie in [0, 1]")
+            raise ValueError("'p_grid' values must lie in [0, 1]")
         if self.trials < 1:
-            raise ValueError("need at least one trial")
+            raise ValueError("'trials' must be at least 1")
+        if self.n < 0:
+            raise ValueError("'n' must be nonnegative")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":

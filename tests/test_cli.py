@@ -203,10 +203,14 @@ ISO = {"model": "gnp", "n": 6, "p_grid": [0.0, 0.5, 1.0], "trials": 3,
     ({**ISO, "trials": "3"}, "'trials'"),
     ({**ISO, "trials": True}, "'trials'"),
     ({**ISO, "n": 6.0}, "'n'"),
+    ({**ISO, "n": -2}, "'n'"),
+    ({**ISO, "trials": 0}, "'trials'"),
+    ({**ISO, "p_grid": [0.5, 1.5]}, "'p_grid'"),
     ({**ISO, "trails": 3}, "'trails'"),
     ({k: v for k, v in ISO.items() if k != "statistic"}, "'statistic'"),
 ], ids=["list", "p_grid-number", "p_grid-string", "trials-string",
-        "trials-bool", "n-float", "misspelled", "missing"])
+        "trials-bool", "n-float", "n-negative", "trials-zero",
+        "p_grid-range", "misspelled", "missing"])
 def test_sweep_rejects_bad_config(workdir, capsys, config, named):
     with open("bad.json", "w") as fh:
         json.dump(config, fh)
