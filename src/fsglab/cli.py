@@ -4,9 +4,12 @@ Subcommands: components, predict, verify, sweep, gadget.  Exit codes are a
 stable contract: 0 ok, 2 bad input, 3 budget exceeded, 4 predictor/oracle
 disagreement, 5 infeasible parameters.
 
-Every run writes a manifest (JSON) next to the primary output recording the
-full configuration, the seed, the tool version, wall time and a digest of
-the primary output, so runs can be reproduced byte for byte.
+A run given ``--out`` writes a manifest (JSON) next to the primary output,
+at ``<out>.manifest.json`` unless ``--manifest`` names another path; a run
+that prints to stdout writes one only when ``--manifest`` is given.  The
+manifest records the full configuration, the seed, the tool version, wall
+time and a digest of the primary output, so runs can be reproduced byte for
+byte.
 """
 
 from __future__ import annotations
@@ -94,6 +97,11 @@ def _write_output(text: str, out_path):
 
 
 def _write_manifest(args, seed, output_text: str, t0: float):
+    path = args.manifest
+    if path is None:
+        if not args.out:
+            return
+        path = args.out + ".manifest.json"
     manifest = {
         "subcommand": args.subcommand,
         "config": {
@@ -106,10 +114,6 @@ def _write_manifest(args, seed, output_text: str, t0: float):
         "output_digest": "sha256:"
         + hashlib.sha256(output_text.encode("utf-8")).hexdigest(),
     }
-    path = args.manifest
-    if path is None:
-        path = (args.out + ".manifest.json") if args.out \
-            else f"{args.subcommand}-manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

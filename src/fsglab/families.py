@@ -11,7 +11,7 @@ import itertools
 import random
 from typing import Iterator, Sequence
 
-from .graphs import MultiplicityGraph, SimpleGraph
+from .graphs import MultiplicityGraph, SimpleGraph, compositions
 
 
 def _edge_pairs(n: int) -> list[tuple[int, int]]:
@@ -110,15 +110,12 @@ def mult_lists(n_vertices: int, total_max: int,
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 0:
-        return [()] if total == 0 else []
-    if parts == 1:
-        return [(total,)] if total >= 1 else []
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    """Compositions of ``total`` into ``parts`` positive parts, in
+    lexicographic order."""
+    if total < parts:
+        return []
+    spare = total - parts
+    return [tuple(c + 1 for c in comp) for comp in compositions(spare, [spare] * parts)]
 
 
 def multiplicity_graphs(max_base_n: int, total_max: int,

@@ -96,8 +96,8 @@ def derive_params(rho: int, m: int) -> GadgetParams:
         )
     params = GadgetParams(rho=rho, ell=ell, k=k, g=g, requested=m,
                           extra_pad=0, mode="derived")
-    need = _layout_length(params)
-    have = m + (3 if rho in (3, 4) else 0) - ell - (3 if rho in (3, 4) else 0)
+    need = _layout(params)["L"]
+    have = m - ell
     if need > have:
         raise InfeasibleParamsError(
             f"m={m}: cycle needs {need} positions but only {have} exist"
@@ -114,7 +114,7 @@ def derive_params(rho: int, m: int) -> GadgetParams:
 # never hold alongside it (derivation in the acceptance test
 # test_c11_gadget_edge_budget_as_stated), and we keep the miniatures small
 # instead of chasing it.
-_DESK_ELL = {1: 4, 2: 4, 3: 4, 4: 4}
+_DESK_ELL = 4
 
 
 def desk_params(rho: int, scale: int) -> GadgetParams:
@@ -125,7 +125,7 @@ def desk_params(rho: int, scale: int) -> GadgetParams:
         raise InfeasibleParamsError(
             f"desk scale {scale} unsupported: need a multiple of 8, at least 16"
         )
-    ell = _DESK_ELL[rho]
+    ell = _DESK_ELL
     k = 2 * ell
     g = k * (ell + 1) - 2 + 1
     g += (-g) % 4
@@ -270,10 +270,6 @@ def _layout(params: GadgetParams) -> dict:
     length = _even_up(cursor)
     out["L"] = length
     return out
-
-
-def _layout_length(params: GadgetParams) -> int:
-    return _layout(params)["L"]
 
 
 def build_gadget(params: GadgetParams,
@@ -472,7 +468,7 @@ _NEIGHBOR_ROWS = {
 
 
 def validate_gadget(pair: GadgetPair, p3_samples: int = 200,
-                    seed: int = 0, p4_samples: int = 20) -> GadgetReport:
+                    seed: int = 0) -> GadgetReport:
     """Run the full structural audit on a built pair."""
     rep = GadgetReport()
     params = pair.params
@@ -513,10 +509,10 @@ def validate_gadget(pair: GadgetPair, p3_samples: int = 200,
     ok4 = g.m <= budget
     rng = random.Random(seed + 1)
     spot = []
-    for _ in range(p4_samples):
-        keep = [x for x in range(g.n) if rng.random() < 0.5]
-        sub, _old = g.subgraph(keep)
-        spot.append(sub.m <= len(keep) + 5 * params.ell)
+    for _ in range(20):
+        keep = {x for x in range(g.n) if rng.random() < 0.5}
+        kept_edges = sum(1 for a, b in g.edge_list if a in keep and b in keep)
+        spot.append(kept_edges <= len(keep) + 5 * params.ell)
     rep.add("p4_edge_budget", ok4 and all(spot),
             edges=g.m, budget=budget, spot_checks=len(spot))
 
@@ -695,19 +691,22 @@ def _interval_deletion_audit(pair: GadgetPair, samples: int, seed: int):
 
 
 def _wilson_regular_after_removal(g: SimpleGraph, removed: set) -> bool:
-    """Star-swap regularity: connected, no cut vertex, >= 3 vertices, not a
-    cycle, not the exceptional 7-vertex graph.  (The gadget is bipartite, so
-    its star puzzle splits into exactly the two parity classes.)"""
-    keep = [x for x in range(g.n) if x not in removed]
-    if len(keep) < 3:
-        return False
-    sub, _ = g.subgraph(keep)
-    _, biconn = articulation_analysis(sub)
+    """Star-swap regularity of G minus ``removed``: connected, no cut
+    vertex, >= 3 vertices, not a cycle, not the exceptional 7-vertex graph.
+    (The gadget is bipartite, so its star puzzle splits into exactly the
+    two parity classes.)"""
+    _, biconn = articulation_analysis(g, removed)
     if not biconn:
         return False
-    if sub.is_cycle_graph():
+    kept = g.n - len(removed)
+    edges = sum(1 for a, b in g.edge_list if a not in removed and b not in removed)
+    # a biconnected graph with as many edges as vertices is a cycle
+    if edges == kept:
         return False
-    return not is_theta0(sub)
+    if kept == 7 and edges == 8:
+        sub, _ = g.subgraph(set(range(g.n)) - removed)
+        return not is_theta0(sub)
+    return True
 
 
 # ---- exchangeability BFS ------------------------------------------------------

@@ -4,6 +4,13 @@ Everything downstream (state spaces, orientation classes, predictors) is
 built on two immutable types: ``SimpleGraph`` and ``MultiplicityGraph``.
 Vertices are always ``0..n-1``; edges are unordered pairs stored once as
 ``(u, v)`` with ``u < v``.
+
+Vertex-deletion questions are asked of the graph itself: the
+``removed`` argument of ``SimpleGraph.connected_components`` and
+``articulation_analysis`` names deleted vertices, and the answer is that
+of ``subgraph`` on the rest, given in the original vertex ids.  Because
+``subgraph`` relabels monotonically, the order of the answer is the same
+too.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 
 class MarginMismatchError(ValueError):
@@ -82,9 +89,12 @@ class SimpleGraph:
 
     # -- structure -------------------------------------------------------
 
-    def connected_components(self) -> list[list[int]]:
-        """Components as sorted vertex lists, ordered by smallest member."""
+    def connected_components(self, removed: Collection[int] = ()) -> list[list[int]]:
+        """Components as sorted vertex lists, ordered by smallest member,
+        after deleting the vertices in ``removed``."""
         seen = [False] * self.n
+        for v in removed:
+            seen[v] = True
         comps = []
         for s in range(self.n):
             if seen[s]:
@@ -173,20 +183,27 @@ def is_valid_bipartition(g: SimpleGraph, a: Iterable[int], b: Iterable[int]) -> 
     return all((u in sa) != (v in sa) for u, v in g.edge_list)
 
 
-def articulation_analysis(g: SimpleGraph) -> tuple[frozenset[int], bool]:
-    """Cut vertices plus a biconnectivity verdict.
+def articulation_analysis(
+    g: SimpleGraph, removed: Collection[int] = ()
+) -> tuple[frozenset[int], bool]:
+    """Cut vertices plus a biconnectivity verdict, after deleting the
+    vertices in ``removed`` (Hopcroft-Tarjan low-link over the fixed
+    adjacency).
 
     A graph is biconnected here iff it is connected, has no cut vertex and
     has at least 3 vertices.
     """
     n = g.n
+    alive = [True] * n
+    for v in removed:
+        alive[v] = False
     disc = [-1] * n
     low = [0] * n
     cut = [False] * n
     timer = 0
     comps = 0
     for root in range(n):
-        if disc[root] != -1:
+        if disc[root] != -1 or not alive[root]:
             continue
         comps += 1
         # iterative DFS with low-link
@@ -198,6 +215,8 @@ def articulation_analysis(g: SimpleGraph) -> tuple[frozenset[int], bool]:
             v, parent, it = stack[-1]
             advanced = False
             for w in it:
+                if not alive[w]:
+                    continue
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
@@ -218,7 +237,7 @@ def articulation_analysis(g: SimpleGraph) -> tuple[frozenset[int], bool]:
         if root_children >= 2:
             cut[root] = True
     cut_set = frozenset(v for v in range(n) if cut[v])
-    biconnected = comps == 1 and not cut_set and n >= 3
+    biconnected = comps == 1 and not cut_set and sum(alive) >= 3
     return cut_set, biconnected
 
 
@@ -276,16 +295,7 @@ def is_wilsonian(g: SimpleGraph) -> bool:
     Requires: at least 3 vertices, biconnected, not bipartite, not a cycle
     of length >= 4, and not the exceptional 7-vertex graph.
     """
-    if g.n < 3:
-        return False
-    _, biconn = articulation_analysis(g)
-    if not biconn:
-        return False
-    if bipartition(g) is not None:
-        return False
-    if g.n >= 4 and g.is_cycle_graph():
-        return False
-    return not is_theta0(g)
+    return wilson_star_components(g) == 1
 
 
 def wilson_star_components(g: SimpleGraph) -> Optional[int]:
@@ -448,14 +458,12 @@ def find_k_bridges(g: SimpleGraph, k: int) -> list[tuple[int, ...]]:
             a1, ak = ends1[0], ends2[0]
         if a1 == ak:
             continue
-        rest, old = g.subgraph(set(range(g.n)) - set(chain))
-        pos = {v: i for i, v in enumerate(old)}
-        rcomps = rest.connected_components()
+        rcomps = g.connected_components(chain)
         rof = {}
         for i, comp in enumerate(rcomps):
             for v in comp:
                 rof[v] = i
-        ca, ck = rof[pos[a1]], rof[pos[ak]]
+        ca, ck = rof[a1], rof[ak]
         if ca == ck:
             continue
         if len(rcomps[ca]) < 2 or len(rcomps[ck]) < 2:
@@ -479,11 +487,12 @@ def find_blocking_chains(g: SimpleGraph, k: int) -> list[tuple[int, ...]]:
         return find_k_bridges(g, k)
     if k != 2:
         raise ValueError("blocking chains are defined for k >= 2")
+    base = len(g.connected_components())
     out = []
     for a, b in g.edge_list:
         rest = SimpleGraph(g.n, [e for e in g.edge_list if e != (a, b)])
         comps = rest.connected_components()
-        if len(comps) == len(g.connected_components()):
+        if len(comps) == base:
             continue
         side_a = next(c for c in comps if a in c)
         side_b = next(c for c in comps if b in c)
@@ -544,29 +553,35 @@ def _contingency_dp(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
     # are kept sorted to share memo entries.
     if not cols:
         return 1 if all(r == 0 for r in rows) else 0
-    c0, rest = cols[0], cols[1:]
-    total = 0
-    fill = [0] * len(rows)
+    return sum(
+        _contingency_dp(tuple(sorted(r - f for r, f in zip(rows, fill))), cols[1:])
+        for fill in compositions(cols[0], rows)
+    )
 
-    def distribute(i: int, left: int):
-        nonlocal total
-        if i == len(rows) - 1:
-            if left <= rows[i]:
-                fill[i] = left
-                remaining = tuple(
-                    sorted(r - f for r, f in zip(rows, fill))
-                )
-                total += _contingency_dp(remaining, rest)
+
+def compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Compositions of ``total`` into len(bounds) nonnegative parts with
+    part i <= bounds[i], in lexicographic order."""
+    k = len(bounds)
+    acc: list[int] = []
+
+    def rec(i: int, left: int):
+        if i == k - 1:
+            if left <= bounds[i]:
+                acc.append(left)
+                yield tuple(acc)
+                acc.pop()
             return
-        for take in range(min(rows[i], left) + 1):
-            fill[i] = take
-            distribute(i + 1, left - take)
+        for take in range(min(bounds[i], left) + 1):
+            acc.append(take)
+            yield from rec(i + 1, left - take)
+            acc.pop()
 
-    if rows:
-        distribute(0, c0)
-    else:
-        total = 1 if c0 == 0 and all(c == 0 for c in rest) else 0
-    return total
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    yield from rec(0, total)
 
 
 def cyclic_order_count(leaf_mults: Sequence[int]) -> Fraction:

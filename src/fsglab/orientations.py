@@ -340,19 +340,11 @@ def period_profile(o: Orientation, cliques: CliquePartition) -> PeriodProfile:
     """Per-component periods of an orientation plus their gcd."""
     periods = []
     for comp in o.host.connected_components():
-        sub_host, old = o.host.subgraph(comp)
-        idx = {v: i for i, v in enumerate(old)}
-        sub_dirs = []
-        for (u, v), d in zip(o.host.edge_list, o.dirs):
-            if u in idx and v in idx:
-                sub_dirs.append((idx[u], idx[v], d))
-        dirs = [0] * len(sub_host.edge_list)
-        edge_index = {e: i for i, e in enumerate(sub_host.edge_list)}
-        for u, v, d in sub_dirs:
-            if u < v:
-                dirs[edge_index[(u, v)]] = d
-            else:
-                dirs[edge_index[(v, u)]] = 1 - d
+        sub_host, _ = o.host.subgraph(comp)
+        # subgraph relabels monotonically, so the component's edges keep
+        # their order and orientation; an edge never leaves its component
+        inside = set(comp)
+        dirs = [d for (u, _), d in zip(o.host.edge_list, o.dirs) if u in inside]
         sub_o = Orientation(sub_host, dirs, check=False)
         sub_cliques = cliques.restricted(comp)
         periods.append(period_of_orientation(sub_o, sub_cliques))
@@ -398,9 +390,7 @@ def predict_cycle_components(x: MultiplicityGraph,
 def coprime_forest_connected(x: MultiplicityGraph) -> bool:
     """True iff the lift complement is a forest whose tree sizes have gcd 1."""
     host, _ = complement_of_lift(x)
-    if host.m > host.n - len(host.connected_components()):
+    comps = host.connected_components()
+    if host.m > host.n - len(comps):
         return False  # a cycle exists
-    g = 0
-    for comp in host.connected_components():
-        g = math.gcd(g, len(comp))
-    return g == 1
+    return math.gcd(*(len(comp) for comp in comps)) == 1

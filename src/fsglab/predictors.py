@@ -265,16 +265,12 @@ def _cut_vertex_bound_verdicts(total_max: int) -> Iterator[Verdict]:
 
 
 def _component_totals(x: MultiplicityGraph, x0: int) -> list[int]:
-    rest, old = x.base.subgraph(set(range(x.base.n)) - {x0})
-    return [
-        sum(x.mult[old[i]] for i in comp)
-        for comp in rest.connected_components()
-    ]
+    return [sum(x.mult[v] for v in comp)
+            for comp in x.base.connected_components((x0,))]
 
 
 def _component_sizes(y: SimpleGraph, y0: int) -> list[int]:
-    rest, _ = y.subgraph(set(range(y.n)) - {y0})
-    return [len(c) for c in rest.connected_components()]
+    return [len(c) for c in y.connected_components((y0,))]
 
 
 def _probe_family_verdicts(max_n: int, total_max: int) -> Iterator[Verdict]:

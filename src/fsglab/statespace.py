@@ -33,6 +33,7 @@ from .graphs import (
     SimpleGraph,
     as_multiplicity,
     bipartition,
+    compositions,
     contingency_count,
     find_k_bridges,
     lift,
@@ -133,7 +134,7 @@ class FSmmSpace:
             if i == len(rows):
                 yield tuple(acc)
                 return
-            for row in _bounded_compositions(rows[i], remaining):
+            for row in compositions(rows[i], remaining):
                 acc.append(row)
                 left = [r - v for r, v in zip(remaining, row)]
                 yield from fill(i + 1, left, acc)
@@ -189,31 +190,6 @@ def _multiset_permutations(counts: list[int], length: int) -> Iterator[tuple[int
                 counts[lab] += 1
 
     return rec()
-
-
-def _bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Compositions of ``total`` into len(bounds) parts with part i <= bounds[i],
-    in lexicographic order."""
-    k = len(bounds)
-    acc: list[int] = []
-
-    def rec(i: int, left: int):
-        if i == k - 1:
-            if left <= bounds[i]:
-                acc.append(left)
-                yield tuple(acc)
-                acc.pop()
-            return
-        for take in range(min(bounds[i], left) + 1):
-            acc.append(take)
-            yield from rec(i + 1, left - take)
-            acc.pop()
-
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(0, total)
 
 
 def space_for(x, y, variant: str):
@@ -503,15 +479,8 @@ def kbridge_component_invariant(
     if bridge not in find_k_bridges(x, k) and tuple(reversed(bridge)) not in find_k_bridges(x, k):
         raise KBridgeError(f"{bridge} is not a {k}-bridge of the position graph")
     blank = star_center(star.base)
-    interior = set(bridge[1:-1])
-    rest, old = x.subgraph(set(range(x.n)) - interior)
-    pos = {v: i for i, v in enumerate(old)}
-    comps = rest.connected_components()
-    side_a: set[int] = set()
-    for comp in comps:
-        if pos[bridge[0]] in comp:
-            side_a = {old[i] for i in comp}
-            break
+    side_a = set(next(comp for comp in x.connected_components(bridge[1:-1])
+                      if bridge[0] in comp))
     side_a.discard(bridge[0])
 
     space = FSmSpace(x, star)

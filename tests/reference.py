@@ -1,25 +1,36 @@
-"""Frozen copy of the state-space oracle, kept as the differential baseline.
+"""Frozen copies of kernels, kept as differential baselines.
 
-The classes and functions below are the oracle's code as it stood before
-``fs`` became ``fsm`` with unit label multiplicities, copied unchanged.
-``tests/test_reference.py`` checks the live ``statespace.build_components``
-against this copy.  Do not edit the copied code: its value is that it does
-not move when the oracle does.
+* The state-space oracle as it stood before ``fs`` became ``fsm`` with unit
+  label multiplicities.
+* ``articulation_analysis`` and ``is_wilsonian`` as they stood before
+  vertex-deletion questions were asked of the graph itself.
+* The orientation layer (``Orientation``, ``enumerate_acyc``,
+  ``partition_by`` and the moves it closes under) and the packing search
+  ``find_packing``, before their kernels change.
+
+Each is copied unchanged.  ``tests/test_reference.py`` checks the live code
+against these copies.  Do not edit the copied code: its value is that it
+does not move when the live code does.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from fsglab.graphs import (
+    CliquePartition,
     IncompatibleSizesError,
     MultiplicityGraph,
     SimpleGraph,
     as_multiplicity,
+    bipartition,
     contingency_count,
+    is_theta0,
 )
+from fsglab.randomlab import PackingBudgetError
 from fsglab.statespace import BudgetExceededError, ComponentsReport
 
 
@@ -293,3 +304,357 @@ def build_components(
         edge_count=links // 2,
         component_id=ids,
     )
+
+
+# -- graphs: articulation and Wilson's criterion ------------------------------
+
+
+def articulation_analysis(g: SimpleGraph) -> tuple[frozenset[int], bool]:
+    """Cut vertices plus a biconnectivity verdict.
+
+    A graph is biconnected here iff it is connected, has no cut vertex and
+    has at least 3 vertices.
+    """
+    n = g.n
+    disc = [-1] * n
+    low = [0] * n
+    cut = [False] * n
+    timer = 0
+    comps = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        comps += 1
+        # iterative DFS with low-link
+        stack = [(root, -1, iter(g.neighbors(root)))]
+        disc[root] = low[root] = timer
+        timer += 1
+        root_children = 0
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for w in it:
+                if disc[w] == -1:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    if v == root:
+                        root_children += 1
+                    stack.append((w, v, iter(g.neighbors(w))))
+                    advanced = True
+                    break
+                elif w != parent:
+                    low[v] = min(low[v], disc[w])
+            if not advanced:
+                stack.pop()
+                if stack:
+                    pv = stack[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                    if pv != root and low[v] >= disc[pv]:
+                        cut[pv] = True
+        if root_children >= 2:
+            cut[root] = True
+    cut_set = frozenset(v for v in range(n) if cut[v])
+    biconnected = comps == 1 and not cut_set and n >= 3
+    return cut_set, biconnected
+
+
+def is_wilsonian(g: SimpleGraph) -> bool:
+    """True iff every star puzzle on g is fully solvable.
+
+    Requires: at least 3 vertices, biconnected, not bipartite, not a cycle
+    of length >= 4, and not the exceptional 7-vertex graph.
+    """
+    if g.n < 3:
+        return False
+    _, biconn = articulation_analysis(g)
+    if not biconn:
+        return False
+    if bipartition(g) is not None:
+        return False
+    if g.n >= 4 and g.is_cycle_graph():
+        return False
+    return not is_theta0(g)
+
+
+# -- orientations -------------------------------------------------------------
+
+
+class FlipError(ValueError):
+    pass
+
+
+class Orientation:
+    """An acyclic direction assignment on the edges of a host graph.
+
+    ``dirs[i]`` is 1 when canonical edge ``(u, v)`` (u < v) points u -> v.
+    """
+
+    __slots__ = ("host", "dirs", "_out")
+
+    def __init__(self, host: SimpleGraph, dirs: Sequence[int], check: bool = True):
+        self.host = host
+        self.dirs = tuple(int(d) for d in dirs)
+        if len(self.dirs) != len(host.edge_list):
+            raise ValueError("one direction bit per host edge required")
+        out: list[list[int]] = [[] for _ in range(host.n)]
+        for (u, v), d in zip(host.edge_list, self.dirs):
+            if d:
+                out[u].append(v)
+            else:
+                out[v].append(u)
+        self._out = tuple(tuple(o) for o in out)
+        if check and not self._acyclic():
+            raise ValueError("orientation has a directed cycle")
+
+    def _acyclic(self) -> bool:
+        n = self.host.n
+        indeg = [0] * n
+        for outs in self._out:
+            for w in outs:
+                indeg[w] += 1
+        queue = [v for v in range(n) if indeg[v] == 0]
+        seen = 0
+        while queue:
+            v = queue.pop()
+            seen += 1
+            for w in self._out[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    queue.append(w)
+        return seen == n
+
+    def out_neighbors(self, v: int) -> tuple[int, ...]:
+        return self._out[v]
+
+    def directed_edges(self) -> list[tuple[int, int]]:
+        return [
+            (u, v) if d else (v, u)
+            for (u, v), d in zip(self.host.edge_list, self.dirs)
+        ]
+
+    def is_source(self, v: int) -> bool:
+        """All incident edges leave v.  Isolated vertices count."""
+        return len(self._out[v]) == self.host.degree(v)
+
+    def is_sink(self, v: int) -> bool:
+        return not self._out[v]
+
+    def sources(self) -> list[int]:
+        return [v for v in range(self.host.n) if self.is_source(v)]
+
+    def sinks(self) -> list[int]:
+        return [v for v in range(self.host.n) if self.is_sink(v)]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Orientation)
+            and self.host == other.host
+            and self.dirs == other.dirs
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.dirs)
+
+    def __repr__(self) -> str:
+        return f"Orientation({self.directed_edges()})"
+
+
+def enumerate_acyc(host: SimpleGraph) -> list[Orientation]:
+    """All acyclic orientations, deterministically ordered by direction bits.
+
+    Every acyclic orientation is induced by some vertex order, so sweeping
+    all n! orders and deduplicating is exact (hosts here are small).
+    """
+    seen = set()
+    import itertools
+
+    for perm in itertools.permutations(range(host.n)):
+        pos = [0] * host.n
+        for p, vert in enumerate(perm):
+            pos[vert] = p
+        dirs = tuple(
+            1 if pos[u] < pos[v] else 0 for u, v in host.edge_list
+        )
+        seen.add(dirs)
+    return [Orientation(host, d, check=False) for d in sorted(seen)]
+
+
+def flip(o: Orientation, v: int) -> Orientation:
+    """Reverse all edges at a source or sink; a no-op on isolated vertices."""
+    if not (o.is_source(v) or o.is_sink(v)):
+        raise FlipError(f"vertex {v} is neither a source nor a sink")
+    dirs = list(o.dirs)
+    for i, (a, b) in enumerate(o.host.edge_list):
+        if a == v or b == v:
+            dirs[i] ^= 1
+    return Orientation(o.host, dirs, check=False)
+
+
+def apply_block_permutation(o: Orientation, perm: Sequence[int]) -> Orientation:
+    """Relabel an orientation along a vertex permutation: the image directs
+    perm(u) -> perm(v) exactly when u -> v."""
+    edge_index = {e: i for i, e in enumerate(o.host.edge_list)}
+    dirs = [0] * len(o.dirs)
+    for (u, v), d in zip(o.host.edge_list, o.dirs):
+        a, b = perm[u], perm[v]
+        forward = d
+        if a > b:
+            a, b = b, a
+            forward = 1 - d
+        dirs[edge_index[(a, b)]] = forward
+    return Orientation(o.host, dirs, check=False)
+
+
+RELATIONS = (
+    "toric",                      # closure under single flips
+    "double_flip",                # closure under source/sink double flips
+    "permutation",                # orbits of within-block relabelings
+    "toric_permutation",          # coarsening of toric and permutation
+    "double_flip_permutation",    # coarsening of double_flip and permutation
+)
+
+
+@dataclass
+class ClassPartition:
+    relation: str
+    classes: list[list[Orientation]]
+    class_of: dict  # dirs tuple -> class id
+
+    @property
+    def class_count(self) -> int:
+        return len(self.classes)
+
+    def class_of_orientation(self, o: Orientation) -> int:
+        return self.class_of[o.dirs]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "relation": self.relation,
+            "class_sizes": [len(c) for c in self.classes],
+            "representatives": [
+                list(c[0].dirs) for c in self.classes
+            ],
+        }
+
+
+def _flip_moves(o: Orientation) -> Iterator[Orientation]:
+    for v in range(o.host.n):
+        if o.host.degree(v) == 0:
+            continue
+        if o.is_source(v) or o.is_sink(v):
+            yield flip(o, v)
+
+
+def _double_flip_moves(o: Orientation) -> Iterator[Orientation]:
+    host = o.host
+    srcs = o.sources()
+    snks = o.sinks()
+    for u in srcs:
+        for v in snks:
+            if u == v or host.has_edge(u, v):
+                continue
+            yield flip(flip(o, u), v)
+
+
+def _block_transposition_moves(o: Orientation, cliques: CliquePartition) -> Iterator[Orientation]:
+    n = o.host.n
+    for block in cliques.blocks:
+        for i in range(len(block) - 1):
+            perm = list(range(n))
+            a, b = block[i], block[i + 1]
+            perm[a], perm[b] = b, a
+            yield apply_block_permutation(o, perm)
+
+
+def partition_by(relation: str, host: SimpleGraph,
+                 cliques: Optional[CliquePartition] = None) -> ClassPartition:
+    """Partition Acyc(host) by closure under the relation's generating moves.
+
+    Classes are numbered by their smallest member under the fixed
+    orientation ordering, so numbering is deterministic.
+    """
+    if relation not in RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    needs_cliques = relation in (
+        "permutation", "toric_permutation", "double_flip_permutation"
+    )
+    if needs_cliques and cliques is None:
+        raise ValueError(f"relation {relation!r} needs the block partition")
+
+    def moves(o: Orientation) -> Iterator[Orientation]:
+        if relation in ("toric", "toric_permutation"):
+            yield from _flip_moves(o)
+        if relation in ("double_flip", "double_flip_permutation"):
+            yield from _double_flip_moves(o)
+        if needs_cliques:
+            yield from _block_transposition_moves(o, cliques)
+
+    universe = enumerate_acyc(host)
+    class_of: dict = {}
+    classes: list[list[Orientation]] = []
+    for o in universe:
+        if o.dirs in class_of:
+            continue
+        cid = len(classes)
+        members = [o]
+        class_of[o.dirs] = cid
+        frontier = [o]
+        while frontier:
+            nxt = []
+            for cur in frontier:
+                for mv in moves(cur):
+                    if mv.dirs not in class_of:
+                        class_of[mv.dirs] = cid
+                        members.append(mv)
+                        nxt.append(mv)
+            frontier = nxt
+        members.sort(key=lambda e: e.dirs)
+        classes.append(members)
+    return ClassPartition(relation, classes, class_of)
+
+
+# -- packing search -----------------------------------------------------------
+
+
+def find_packing(
+    x: SimpleGraph, y: SimpleGraph, node_budget: Optional[int] = None
+) -> Optional[tuple[int, ...]]:
+    """A bijection sending every edge of x onto a non-edge of y, or None
+    after exhaustive refutation.  Budget exhaustion raises; a None return
+    always means the search space was fully explored.
+
+    Such a bijection is exactly an isolated vertex of the joint swap space.
+    """
+    if x.n != y.n:
+        raise ValueError("packing needs equal vertex counts")
+    n = x.n
+    order = sorted(range(n), key=lambda v: -x.degree(v))
+    assigned = [-1] * n  # x-vertex -> y-vertex
+    used = [False] * n
+    nodes = 0
+
+    def place(i: int) -> Optional[list[int]]:
+        nonlocal nodes
+        if i == n:
+            return assigned[:]
+        v = order[i]
+        placed_nbrs = [w for w in x.neighbors(v) if assigned[w] != -1]
+        for img in range(n):
+            if used[img]:
+                continue
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise PackingBudgetError(nodes)
+            if any(y.has_edge(img, assigned[w]) for w in placed_nbrs):
+                continue
+            assigned[v] = img
+            used[img] = True
+            res = place(i + 1)
+            if res is not None:
+                return res
+            assigned[v] = -1
+            used[img] = False
+        return None
+
+    res = place(0)
+    return tuple(res) if res is not None else None

@@ -245,6 +245,33 @@ def test_gadget_manifest_records_validation_seed(workdir, flags, seed):
     assert json.load(open("g.json.manifest.json"))["seed"] == seed
 
 
+@pytest.mark.parametrize("rho, digest", [
+    (1, "970b7bc0e880fe120796a4dfae8e23d11654fd84181c65ef4ad560ed43fd3bcc"),
+    (2, "e986f0a4fd04064fb7419955288ffb6038e9706cc98f5667a5d75c435d56d54c"),
+    (3, "b51ec79000e36f21a26a979aece7b5a423d4722beeb091d5e74c6474db9a7c2f"),
+    (4, "457bb9cc8da16bb71d3808aec642d6856c33f2ed42e6111108d3d64d9f43665f"),
+])
+def test_gadget_validate_golden_digest(tmp_path, monkeypatch, capsys, rho, digest):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gadget", "--rho", str(rho), "--m", "16", "--validate",
+                 "--seed", "0"]) == 4
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_stdout_run_writes_manifest_only_when_asked(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["components", "--x", "path:3", "--y", "path:3"]) == 0
+    assert main(["predict", "--theorem", "thm14", "--x", "path:3"]) == 0
+    assert os.listdir(".") == []
+    assert main(["components", "--x", "path:3", "--y", "path:3",
+                 "--manifest", "m.json"]) == 0
+    assert os.listdir(".") == ["m.json"]
+    out = capsys.readouterr().out.splitlines()[-1] + "\n"
+    assert json.load(open("m.json"))["output_digest"] == \
+        "sha256:" + hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
 def test_gadget_asymptotic_mode_infeasible_small(workdir):
     assert main(["gadget", "--rho", "1", "--m", "64", "--asymptotic"]) == 5
 

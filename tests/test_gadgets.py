@@ -14,6 +14,7 @@ from fsglab.graphs import (
     edgeless_graph,
     is_valid_bipartition,
     path_graph,
+    theta0,
 )
 from fsglab.gadgets import (
     EmbeddingBudgetError,
@@ -24,6 +25,7 @@ from fsglab.gadgets import (
     derive_params,
     desk_params,
     find_respecting_embeddings,
+    _wilson_regular_after_removal,
     removable_set,
     validate_gadget,
 )
@@ -146,6 +148,23 @@ def test_removable_pool_contents():
     assert all(pair.roles[f"y{j+1}"] in pool for j in range(ell))
     for i in (1, 2, 3):
         assert pair.roles[f"s{i}"] in pool and pair.roles[f"r{i}"] in pool
+
+
+def test_deletion_audit_rejects_theta0_and_cycle_remainders():
+    # theta0 plus vertex 7 on ring vertices 1 and 4: deleting 7 leaves the
+    # exceptional graph, deleting 6 and 7 leaves the hexagon; both are
+    # biconnected, so only the cycle and theta0 tests can reject them
+    g = SimpleGraph(8, list(theta0().edge_list) + [(1, 7), (4, 7)])
+    assert _wilson_regular_after_removal(g, set())
+    assert not _wilson_regular_after_removal(g, {7})
+    assert not _wilson_regular_after_removal(g, {6, 7})
+    assert not _wilson_regular_after_removal(theta0(), {6})
+    # 7 vertices and 8 edges, biconnected, but not theta0
+    twin = SimpleGraph(7, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6), (2, 6)])
+    assert _wilson_regular_after_removal(twin, set())
+    assert _wilson_regular_after_removal(complete_graph(5), {0})
+    # unlike is_wilsonian, the audit counts a triangle as a cycle
+    assert not _wilson_regular_after_removal(complete_graph(5), {0, 1})
 
 
 # -- exchangeability -------------------------------------------------------------

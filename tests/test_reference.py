@@ -1,11 +1,21 @@
-"""Differential test: the live oracle against the frozen copy in reference.py."""
+"""Differential tests: live kernels against the frozen copies in reference.py."""
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from fsglab.graphs import MultiplicityGraph, SimpleGraph, as_multiplicity
+from fsglab import families
+from fsglab.graphs import (
+    MultiplicityGraph,
+    SimpleGraph,
+    articulation_analysis,
+    as_multiplicity,
+    is_wilsonian,
+)
+from fsglab.orientations import RELATIONS, complement_of_lift, enumerate_acyc, partition_by
+from fsglab.randomlab import PackingBudgetError, find_packing
 from fsglab.statespace import build_components
 
 
@@ -62,3 +72,86 @@ def test_fs_is_fsm_with_unit_multiplicities(pair):
     for build in (build_components, reference.build_components):
         _assert_same_report(build(x, y, variant="fs"),
                             build(x, unit, variant="fsm"))
+
+
+# -- vertex deletion ------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    simple_graphs(n), st.sets(st.integers(0, n - 1)))))
+def test_masked_deletion_matches_subgraph(case):
+    g, removed = case
+    sub, old = g.subgraph(set(range(g.n)) - removed)
+    assert g.connected_components(removed) == [
+        [old[i] for i in comp] for comp in sub.connected_components()
+    ]
+    cuts, biconnected = reference.articulation_analysis(sub)
+    assert articulation_analysis(g, removed) == (
+        frozenset(old[i] for i in cuts), biconnected)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_is_wilsonian_matches_reference(n):
+    for g in families.graph_classes(n):
+        assert is_wilsonian(g) == reference.is_wilsonian(g), g
+
+
+# -- orientations ---------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(simple_graphs))
+def test_enumerate_acyc_matches_reference(host):
+    assert [o.dirs for o in enumerate_acyc(host)] == [
+        o.dirs for o in reference.enumerate_acyc(host)
+    ]
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@settings(max_examples=30, deadline=None)
+@given(x=st.integers(1, 6).flatmap(multiplicity_graphs))
+def test_partition_by_matches_reference(relation, x):
+    # the lift complement of a unit-multiplicity graph is any simple graph
+    host, cliques = complement_of_lift(x)
+    live = partition_by(relation, host, cliques)
+    ref = reference.partition_by(relation, host, cliques)
+    assert [[o.dirs for o in c] for c in live.classes] == [
+        [o.dirs for o in c] for c in ref.classes
+    ]
+    assert live.class_of == ref.class_of
+
+
+# -- packing search -------------------------------------------------------------
+
+
+def _packing(find, x, y, budget):
+    try:
+        return "answer", find(x, y, node_budget=budget)
+    except PackingBudgetError as e:
+        return "budget", e.nodes
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(simple_graphs(n),
+                                                      simple_graphs(n))))
+def test_find_packing_matches_reference(pair):
+    x, y = pair
+    assert find_packing(x, y) == reference.find_packing(x, y)
+    # the search raises exactly when it needs more nodes than its budget, so
+    # the least budget that answers is the node count
+    hi = 1
+    while _packing(find_packing, x, y, hi)[0] == "budget":
+        hi *= 2
+    lo = hi // 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _packing(find_packing, x, y, mid)[0] == "budget":
+            lo = mid + 1
+        else:
+            hi = mid
+    nodes = lo
+    assert _packing(find_packing, x, y, nodes - 1) == ("budget", nodes)
+    for budget in (0, nodes // 2, nodes - 1, nodes):
+        assert _packing(find_packing, x, y, budget) == \
+            _packing(reference.find_packing, x, y, budget)
