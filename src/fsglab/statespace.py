@@ -18,12 +18,25 @@ walks a state space:
   about a single component (exchangeability, component invariants).
 * ``build_components`` -- one union-find pass over the whole space, for the
   full component partition.
+
+Every move has an inverse, so the links of a space are undirected.  Each
+space class lists all of an arrangement's neighbours (``neighbors``, for
+``reachable``) and, separately, only those reached by a *forward* move
+(``forward_neighbors``): in fs/fsm a swap across the X-edge (p, q), p < q,
+that moves the smaller label from p to q; in fsmm, for an X-edge (u, v) and
+a Y-edge (y1, y2), a move of a copy of u from y1 to y2 against a copy of v
+from y2 to y1.  The reverse of a forward move is not forward, and no two
+moves from one arrangement reach the same neighbour, so every undirected
+link is produced exactly once, from one of its two ends.
+``build_components`` unions forward neighbours only, so it sees each link
+once and its ``edge_count`` is the number of forward moves.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -74,6 +87,9 @@ class FSmSpace:
             )
         self.x = x
         self.y = y
+        # bit t of _mask[s] is set iff labels s and t are adjacent in Y
+        self._mask = [sum(1 << t for t in y.base.neighbors(s))
+                      for s in range(y.base.n)]
 
     def count(self) -> int:
         c = math.factorial(self.y.total)
@@ -82,10 +98,10 @@ class FSmSpace:
         return c
 
     def enumerate(self) -> Iterator[tuple[int, ...]]:
-        # the same lexicographic order, from C rather than Python recursion
+        # the same lexicographic order, from C rather than Algorithm L in Python
         if all(k == 1 for k in self.y.mult):
             return itertools.permutations(range(self.x.n))
-        return _multiset_permutations(list(self.y.mult), self.x.n)
+        return _multiset_permutations(self.y.mult)
 
     def is_valid(self, a: Sequence[int]) -> bool:
         counts = [0] * self.y.base.n
@@ -96,12 +112,30 @@ class FSmSpace:
         return tuple(counts) == self.y.mult
 
     def neighbors(self, a: tuple[int, ...]) -> list[tuple[int, ...]]:
-        ybase = self.y.base
+        mask = self._mask
         out = []
         for p, q in self.x.edge_list:
-            if ybase.has_edge(a[p], a[q]):
+            s = a[p]
+            t = a[q]
+            if mask[s] >> t & 1:
                 b = list(a)
-                b[p], b[q] = b[q], b[p]
+                b[p] = t
+                b[q] = s
+                out.append(tuple(b))
+        return out
+
+    def forward_neighbors(self, a: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The neighbours reached by swapping a smaller label on an edge's
+        lower position with a larger one on its upper position."""
+        mask = self._mask
+        out = []
+        for p, q in self.x.edge_list:
+            s = a[p]
+            t = a[q]
+            if s < t and mask[s] >> t & 1:
+                b = list(a)
+                b[p] = t
+                b[q] = s
                 out.append(tuple(b))
         return out
 
@@ -127,20 +161,27 @@ class FSmmSpace:
         return contingency_count(self.x.mult, self.y.mult)
 
     def enumerate(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        rows = list(self.x.mult)
-        cols = list(self.y.mult)
+        rows = self.x.mult
+        # the rows that fit row i under each column room, with the room left;
+        # many prefixes leave the same room
+        options: dict = {}
 
-        def fill(i: int, remaining: list[int], acc: list[tuple[int, ...]]):
+        def fill(i: int, room: tuple[int, ...], acc: list[tuple[int, ...]]):
             if i == len(rows):
                 yield tuple(acc)
                 return
-            for row in compositions(rows[i], remaining):
+            opts = options.get((i, room))
+            if opts is None:
+                opts = options[i, room] = [
+                    (row, tuple(r - v for r, v in zip(room, row)))
+                    for row in compositions(rows[i], room)
+                ]
+            for row, left in opts:
                 acc.append(row)
-                left = [r - v for r, v in zip(remaining, row)]
                 yield from fill(i + 1, left, acc)
                 acc.pop()
 
-        return fill(0, cols, [])
+        return fill(0, self.y.mult, [])
 
     def is_valid(self, a) -> bool:
         if len(a) != self.x.base.n:
@@ -156,40 +197,67 @@ class FSmmSpace:
     def neighbors(self, a) -> list[tuple[tuple[int, ...], ...]]:
         out = []
         for u, v in self.x.base.edge_list:
+            ru = a[u]
+            rv = a[v]
             for y1, y2 in self.y.base.edge_list:
-                if a[u][y1] > 0 and a[v][y2] > 0:
+                if ru[y1] > 0 and rv[y2] > 0:
                     out.append(_matrix_swap(a, u, v, y1, y2))
-                if a[u][y2] > 0 and a[v][y1] > 0:
+                if ru[y2] > 0 and rv[y1] > 0:
                     out.append(_matrix_swap(a, u, v, y2, y1))
+        return out
+
+    def forward_neighbors(self, a) -> list[tuple[tuple[int, ...], ...]]:
+        """The neighbours reached by moving a copy of the lower label of an
+        X-edge to the upper end of a Y-edge; the reverse move is the other
+        branch of ``neighbors``."""
+        out = []
+        for u, v in self.x.base.edge_list:
+            ru = a[u]
+            rv = a[v]
+            for y1, y2 in self.y.base.edge_list:
+                if ru[y1] > 0 and rv[y2] > 0:
+                    out.append(_matrix_swap(a, u, v, y1, y2))
         return out
 
 
 def _matrix_swap(a, u, v, y1, y2):
-    b = [list(row) for row in a]
-    b[u][y1] -= 1
-    b[u][y2] += 1
-    b[v][y2] -= 1
-    b[v][y1] += 1
-    return tuple(tuple(row) for row in b)
+    """``a`` with one copy of u moved from y1 to y2 and one copy of v back;
+    only rows u and v are rebuilt."""
+    b = list(a)
+    row = list(a[u])
+    row[y1] -= 1
+    row[y2] += 1
+    b[u] = tuple(row)
+    row = list(a[v])
+    row[y2] -= 1
+    row[y1] += 1
+    b[v] = tuple(row)
+    return tuple(b)
 
 
-def _multiset_permutations(counts: list[int], length: int) -> Iterator[tuple[int, ...]]:
-    """All vectors using label i exactly counts[i] times, lexicographically."""
-    out: list[int] = []
+def _multiset_permutations(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All vectors using label i exactly counts[i] times, lexicographically.
 
-    def rec():
-        if len(out) == length:
-            yield tuple(out)
+    Knuth's Algorithm L (TAOCP 7.2.1.2): start from the sorted vector and
+    step to the next permutation in place.
+    """
+    a = [lab for lab, c in enumerate(counts) for _ in range(c)]
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        # a[j + 1:] is the longest non-increasing suffix
+        j = last - 1
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
             return
-        for lab, c in enumerate(counts):
-            if c > 0:
-                counts[lab] -= 1
-                out.append(lab)
-                yield from rec()
-                out.pop()
-                counts[lab] += 1
-
-    return rec()
+        # swap a[j] with the rightmost larger entry, then make the suffix
+        # increasing
+        k = last
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
 
 
 def space_for(x, y, variant: str):
@@ -246,28 +314,27 @@ def _arrangement_key(a) -> str:
 
 
 class _UnionFind:
-    __slots__ = ("parent", "rank")
+    """Disjoint sets over 0..n-1 with path halving; the smaller root wins."""
+
+    __slots__ = ("parent",)
 
     def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
+        self.parent = array("l", range(n))
 
     def find(self, v: int) -> int:
         p = self.parent
         while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
+            p[v] = v = p[p[v]]
         return v
 
     def union(self, a: int, b: int) -> bool:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
+        if ra < rb:
+            self.parent[rb] = ra
+        else:
+            self.parent[ra] = rb
         return True
 
 
@@ -278,6 +345,8 @@ def build_components(
 
     Component ids are dense and assigned in order of each component's first
     arrangement in the canonical enumeration, so reports are deterministic.
+    Each undirected link is seen once, from the end whose forward move
+    reaches the other.
     """
     space = space_for(x, y, variant)
     total = space.count()
@@ -285,27 +354,45 @@ def build_components(
         raise BudgetExceededError(total, budget)
     # one arrangement-keyed table: enumeration index first, component id after
     index = {a: i for i, a in enumerate(space.enumerate())}
-    uf = _UnionFind(total)
+    forward = space.forward_neighbors
+    parent = _UnionFind(total).parent
     links = 0
     for i, a in enumerate(index):
-        for b in space.neighbors(a):
-            links += 1
-            uf.union(i, index[b])
-    root_id: dict[int, int] = {}
+        nbrs = forward(a)
+        if not nbrs:
+            continue
+        links += len(nbrs)
+        # _UnionFind.union(i, index[b]) inlined, with the root of i kept
+        ra = i
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        for b in nbrs:
+            rb = index[b]
+            while parent[rb] != rb:
+                parent[rb] = rb = parent[parent[rb]]
+            if ra < rb:
+                parent[rb] = ra
+            elif rb < ra:
+                parent[ra] = rb
+                ra = rb
+    # every root is its component's first arrangement and parent[i] <= i, so
+    # one pass in enumeration order overwrites each entry with its id
     sizes: list[int] = []
     for i, a in enumerate(index):
-        r = uf.find(i)
-        if r not in root_id:
-            root_id[r] = len(sizes)
-            sizes.append(0)
-        cid = root_id[r]
-        sizes[cid] += 1
+        p = parent[i]
+        if p == i:
+            cid = len(sizes)
+            sizes.append(1)
+        else:
+            cid = parent[p]
+            sizes[cid] += 1
+        parent[i] = cid
         index[a] = cid
     return ComponentsReport(
         component_count=len(sizes),
         component_sizes=sizes,
         vertex_count=total,
-        edge_count=links // 2,
+        edge_count=links,
         component_id=index,
     )
 

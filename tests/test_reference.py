@@ -12,11 +12,12 @@ from fsglab.graphs import (
     SimpleGraph,
     articulation_analysis,
     as_multiplicity,
+    edgeless_graph,
     is_wilsonian,
 )
 from fsglab.orientations import RELATIONS, complement_of_lift, enumerate_acyc, partition_by
 from fsglab.randomlab import PackingBudgetError, find_packing
-from fsglab.statespace import build_components
+from fsglab.statespace import FSmSpace, _multiset_permutations, build_components, space_for
 
 
 @st.composite
@@ -72,6 +73,56 @@ def test_fs_is_fsm_with_unit_multiplicities(pair):
     for build in (build_components, reference.build_components):
         _assert_same_report(build(x, y, variant="fs"),
                             build(x, unit, variant="fsm"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances())
+def test_forward_neighbors_give_each_link_once(inst):
+    variant, x, y = inst
+    space = space_for(x, y, variant)
+    forward = {a: space.forward_neighbors(a) for a in space.enumerate()}
+    backward = {a: [] for a in forward}
+    for a, nbrs in forward.items():
+        for b in nbrs:
+            backward[b].append(a)
+    # every link once from one end: forward and backward moves split the
+    # neighbours, with nothing repeated
+    for a in forward:
+        assert sorted(space.neighbors(a)) == sorted(forward[a] + backward[a])
+    assert sum(map(len, forward.values())) == \
+        build_components(x, y, variant=variant).edge_count
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=6).filter(lambda c: sum(c) <= 8))
+def test_multiset_enumeration_matches_reference(counts):
+    ref = list(reference._multiset_permutations(list(counts), sum(counts)))
+    assert list(_multiset_permutations(counts)) == ref
+    positive = [c for c in counts if c]
+    if positive:
+        labels = MultiplicityGraph(edgeless_graph(len(positive)), positive)
+        space = FSmSpace(edgeless_graph(sum(positive)), labels)
+        assert list(space.enumerate()) == list(reference._multiset_permutations(
+            positive, sum(positive)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(simple_graphs(n),
+                                                      simple_graphs(n))))
+def test_fsmm_with_unit_multiplicities_is_fs(pair):
+    # a permutation matrix's row u holds its 1 in column sigma(u), and a move
+    # of fsmm(X, Y) is then a friendly swap of fs(X, Y) on sigma
+    x, y = pair
+    fs = build_components(x, y, variant="fs")
+    mm = build_components(as_multiplicity(x), as_multiplicity(y), variant="fsmm")
+    assert (mm.vertex_count, mm.edge_count) == (fs.vertex_count, fs.edge_count)
+    fs_of = {}
+    for a, cid in mm.component_id.items():
+        sigma = tuple(row.index(1) for row in a)
+        assert fs_of.setdefault(cid, fs.component_id[sigma]) == fs.component_id[sigma]
+    assert sorted(fs_of.values()) == list(range(fs.component_count))
+    assert all(mm.component_sizes[c] == fs.component_sizes[f]
+               for c, f in fs_of.items())
 
 
 # -- vertex deletion ------------------------------------------------------------
