@@ -307,10 +307,13 @@ def wilson_star_components(g: SimpleGraph) -> Optional[int]:
     cut vertices, cycles, the exceptional graph).  None does not mean the
     count is large: FS(star, P3) and FS(star, C4) have two components.
     """
-    if g.n < 3:
-        return None
-    _, biconn = articulation_analysis(g)
-    if not biconn:
+    return _wilson_star_components(g, articulation_analysis(g)[1])
+
+
+def _wilson_star_components(g: SimpleGraph, biconnected: bool) -> Optional[int]:
+    """``wilson_star_components(g)`` for a caller that has already run
+    ``articulation_analysis(g)``."""
+    if not biconnected:  # also when g has fewer than three vertices
         return None
     if g.n >= 4 and g.is_cycle_graph():
         return None
@@ -426,13 +429,13 @@ def find_k_bridges(g: SimpleGraph, k: int) -> list[tuple[int, ...]]:
         raise ValueError("k must be positive")
     if k == 1:
         return []
-    comps = g.connected_components()
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    sizes = [len(c) for c in comps]
     if k == 2:
+        comps = g.connected_components()
+        comp_of = {}
+        for i, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = i
+        sizes = [len(c) for c in comps]
         out = []
         for a in range(g.n):
             for b in range(a + 1, g.n):

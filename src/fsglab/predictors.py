@@ -21,11 +21,11 @@ from .graphs import (
     find_blocking_chains,
     find_k_bridges,
     graph_to_json_dict,
-    is_wilsonian,
     path_graph,
     cycle_graph,
     star_graph,
     star_center,
+    _wilson_star_components,
 )
 from .orientations import (
     coprime_forest_connected,
@@ -75,7 +75,7 @@ def predict_star_vs_multgraph(x: MultiplicityGraph, n: Optional[int] = None) -> 
     if not x.base.is_connected():
         raise PreconditionError("label graph must be connected")
     cuts, biconnected = articulation_analysis(x.base)
-    if is_wilsonian(x.base):
+    if _wilson_star_components(x.base, biconnected) == 1:  # Wilsonian
         return True
     if biconnected:
         return any(c >= 2 for c in x.mult)

@@ -9,6 +9,7 @@ import pytest
 from fsglab.graphs import (
     MultiplicityGraph,
     SimpleGraph,
+    articulation_analysis,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -25,7 +26,7 @@ from fsglab.predictors import (
     verify_family,
 )
 from fsglab.statespace import build_components
-from fsglab import families
+from fsglab import families, graphs, predictors
 
 
 def star_mults(k, leaves):
@@ -54,6 +55,20 @@ def test_star_vs_multgraph_oracle_agreement_small():
     for x in families.multiplicity_graphs(4, 5, connected=True):
         rep = build_components(star_graph(x.total), x, variant="fsm")
         assert predict_star_vs_multgraph(x) == (rep.component_count == 1), x
+
+
+def test_star_vs_multgraph_runs_one_articulation_pass(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return articulation_analysis(*args, **kwargs)
+
+    # graphs.wilson_star_components looks the name up in graphs
+    monkeypatch.setattr(graphs, "articulation_analysis", counted)
+    monkeypatch.setattr(predictors, "articulation_analysis", counted)
+    assert predict_star_vs_multgraph(MultiplicityGraph(cycle_graph(5), (1, 2, 1, 1, 1)))
+    assert len(calls) == 1
 
 
 # -- star labels on arbitrary positions -------------------------------------------
