@@ -699,7 +699,10 @@ def _wilson_regular_after_removal(g: SimpleGraph, removed: set) -> bool:
     if not biconn:
         return False
     kept = g.n - len(removed)
-    edges = sum(1 for a, b in g.edge_list if a not in removed and b not in removed)
+    # count the surviving edges from the removed side: each edge inside
+    # ``removed`` is subtracted twice by the degree sum and seen twice here
+    inside = sum(1 for r in removed for w in g.neighbors(r) if w in removed)
+    edges = g.m - sum(g.degree(r) for r in removed) + inside // 2
     # a biconnected graph with as many edges as vertices is a cycle
     if edges == kept:
         return False

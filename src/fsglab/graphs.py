@@ -566,23 +566,27 @@ def compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]
     """Compositions of ``total`` into len(bounds) nonnegative parts with
     part i <= bounds[i], in lexicographic order."""
     k = len(bounds)
+    room = [0] * (k + 1)  # room[i]: the most that parts i.. can hold
+    for i in range(k - 1, -1, -1):
+        room[i] = room[i + 1] + bounds[i]
     acc: list[int] = []
 
     def rec(i: int, left: int):
         if i == k - 1:
-            if left <= bounds[i]:
-                acc.append(left)
-                yield tuple(acc)
-                acc.pop()
+            acc.append(left)
+            yield tuple(acc)
+            acc.pop()
             return
-        for take in range(min(bounds[i], left) + 1):
+        # take at least what the later parts cannot hold
+        for take in range(max(0, left - room[i + 1]), min(bounds[i], left) + 1):
             acc.append(take)
             yield from rec(i + 1, left - take)
             acc.pop()
 
+    if not 0 <= total <= room[0]:
+        return
     if k == 0:
-        if total == 0:
-            yield ()
+        yield ()
         return
     yield from rec(0, total)
 

@@ -70,39 +70,61 @@ def find_packing(
     always means the search space was fully explored.
 
     Such a bijection is exactly an isolated vertex of the joint swap space.
+
+    X-vertices are placed in order of non-increasing degree, each on the
+    lowest free image first.  A node is one unused image tried for a vertex,
+    whether or not it conflicts with the images of the vertex's placed
+    neighbours.  The search keeps free images and Y-neighbourhoods as int
+    bitmasks and counts the skipped images by popcount, so the node count is
+    that of the one-image-at-a-time backtracking.  ``PackingBudgetError``
+    carries ``node_budget + 1``, the node that went over.
     """
     if x.n != y.n:
         raise ValueError("packing needs equal vertex counts")
     n = x.n
     order = sorted(range(n), key=lambda v: -x.degree(v))
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    # the X-neighbours of order[i] that are placed before it
+    placed_nbrs = [[w for w in x.neighbors(v) if rank[w] < i]
+                   for i, v in enumerate(order)]
+    ymask = [0] * n  # y-vertex -> bitmask of its y-neighbours
+    for a, b in y.edge_list:
+        ymask[a] |= 1 << b
+        ymask[b] |= 1 << a
     assigned = [-1] * n  # x-vertex -> y-vertex
-    used = [False] * n
+    limit = math.inf if node_budget is None else node_budget
     nodes = 0
 
-    def place(i: int) -> Optional[list[int]]:
+    def place(i: int, free: int) -> Optional[list[int]]:
         nonlocal nodes
         if i == n:
             return assigned[:]
         v = order[i]
-        placed_nbrs = [w for w in x.neighbors(v) if assigned[w] != -1]
-        for img in range(n):
-            if used[img]:
-                continue
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise PackingBudgetError(nodes)
-            if any(y.has_edge(img, assigned[w]) for w in placed_nbrs):
-                continue
-            assigned[v] = img
-            used[img] = True
-            res = place(i + 1)
+        forbidden = 0
+        for w in placed_nbrs[i]:
+            forbidden |= ymask[assigned[w]]
+        cand = free & ~forbidden
+        counted = 0  # the images up to the last candidate tried
+        while cand:
+            c = cand & -cand
+            upto = (c << 1) - 1
+            nodes += (free & upto & ~counted).bit_count()
+            if nodes > limit:
+                raise PackingBudgetError(node_budget + 1)
+            counted = upto
+            assigned[v] = c.bit_length() - 1
+            res = place(i + 1, free ^ c)
             if res is not None:
                 return res
-            assigned[v] = -1
-            used[img] = False
+            cand ^= c
+        nodes += (free & ~counted).bit_count()
+        if nodes > limit:
+            raise PackingBudgetError(node_budget + 1)
         return None
 
-    res = place(0)
+    res = place(0, (1 << n) - 1)
     return tuple(res) if res is not None else None
 
 

@@ -21,6 +21,7 @@ that every chord is needed by some deletion set.  The full derivation is in
 that test's docstring.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -251,6 +252,10 @@ def test_c10_random_lab_trends():
         seq = [res.outcomes[i][t] for i in range(len(res.cells))
                if res.outcomes[i][t] is not None]
         assert all(not (a < b) for a, b in zip(seq, seq[1:]))
+    # the bytes and the censoring of the one-image-at-a-time packing search
+    assert hashlib.sha256(res.to_csv().encode()).hexdigest() == \
+        "0c1ddea86b590c206e3fbb80cc98637cb4f2cfb7deedfd060cb714987dfc7fd6"
+    assert sum(cell.censored for cell in res.cells) == 40
     cfg2 = ExperimentConfig(
         model="bipartite", n=4, p_grid=[1.0], trials=2, base_seed=3,
         statistic="component-count", state_budget=50_000,

@@ -15,6 +15,7 @@ from fsglab.graphs import (
     complement,
     complete_bipartite_graph,
     complete_graph,
+    compositions,
     contingency_count,
     cycle_graph,
     cyclic_order_count,
@@ -391,6 +392,16 @@ def test_contingency_matches_enumeration():
             rem -= v
         c.append(rem)
         assert contingency_count(r, c) == _contingency_oracle(r, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=5), st.integers(-1, 21))
+def test_compositions_match_filtered_product(bounds, total):
+    # the pruned enumerator gives exactly the in-bound tuples of the right
+    # sum, in the lexicographic order of itertools.product
+    expected = [c for c in itertools.product(*(range(b + 1) for b in bounds))
+                if sum(c) == total]
+    assert list(compositions(total, bounds)) == expected
 
 
 # -- cyclic order count -------------------------------------------------------------

@@ -16,7 +16,7 @@ from fsglab.graphs import (
     is_wilsonian,
 )
 from fsglab.orientations import RELATIONS, complement_of_lift, enumerate_acyc, partition_by
-from fsglab.randomlab import PackingBudgetError, find_packing
+from fsglab.randomlab import PackingBudgetError, find_packing, sample_gnp, trial_seed
 from fsglab.statespace import FSmSpace, _multiset_permutations, build_components, space_for
 
 
@@ -184,7 +184,7 @@ def _packing(find, x, y, budget):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(simple_graphs(n),
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(simple_graphs(n),
                                                       simple_graphs(n))))
 def test_find_packing_matches_reference(pair):
     x, y = pair
@@ -206,3 +206,26 @@ def test_find_packing_matches_reference(pair):
     for budget in (0, nodes // 2, nodes - 1, nodes):
         assert _packing(find_packing, x, y, budget) == \
             _packing(reference.find_packing, x, y, budget)
+
+
+# Trials of the c10 sweep shape (gnp, n = 20, base seed 2026) with their node
+# counts, read from reference.find_packing: (grid index k of p = 0.05 * k,
+# trial, packing found, nodes).  At a 20,000-node budget the first is found,
+# the second refuted and the third censored.
+SWEEP_TRIALS = [(5, 0, True, 2_321), (13, 4, False, 8_068), (11, 4, False, 29_272)]
+
+
+@pytest.mark.parametrize("k,trial,found,nodes", SWEEP_TRIALS)
+def test_find_packing_matches_reference_at_sweep_scale(k, trial, found, nodes):
+    p = 0.05 * k
+    x = sample_gnp(20, p, trial_seed(2026, trial, 0))
+    y = sample_gnp(20, p, trial_seed(2026, trial, 1))
+    live = _packing(find_packing, x, y, None)
+    assert live == _packing(reference.find_packing, x, y, None)
+    assert live[0] == "answer" and (live[1] is not None) == found
+    assert _packing(find_packing, x, y, nodes - 1) == ("budget", nodes)
+    for budget in (nodes - 1, nodes):
+        assert _packing(find_packing, x, y, budget) == \
+            _packing(reference.find_packing, x, y, budget)
+    censored = _packing(find_packing, x, y, 20_000)[0] == "budget"
+    assert censored == (nodes > 20_000)
