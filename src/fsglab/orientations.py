@@ -1,11 +1,19 @@
 """Acyclic orientations of complement graphs: flips, equivalence classes,
 linear extensions, rotation periods, and the path/cycle component predictors.
+
+Enumeration and class closure work on direction masks, ints whose bit
+``m-1-i`` is the direction of edge i of ``host.edge_list``, so integer order
+is the order of ``Orientation.dirs`` tuples.  Flips, double flips and block
+transpositions are bit operations on per-host tables (``_EdgeMasks``).
+Acyc(host) comes from a recursion over vertex subsets that places one vertex
+first at a time.  ``Orientation`` objects are built only when asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .graphs import CliquePartition, MultiplicityGraph, SimpleGraph, complement, lift
@@ -64,19 +72,6 @@ class Orientation:
             for (u, v), d in zip(self.host.edge_list, self.dirs)
         ]
 
-    def is_source(self, v: int) -> bool:
-        """All incident edges leave v.  Isolated vertices count."""
-        return len(self._out[v]) == self.host.degree(v)
-
-    def is_sink(self, v: int) -> bool:
-        return not self._out[v]
-
-    def sources(self) -> list[int]:
-        return [v for v in range(self.host.n) if self.is_source(v)]
-
-    def sinks(self) -> list[int]:
-        return [v for v in range(self.host.n) if self.is_sink(v)]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Orientation)
@@ -103,50 +98,129 @@ def induced_orientation(a: Sequence[int], host: SimpleGraph) -> Orientation:
     return Orientation(host, dirs, check=False)
 
 
+# -- direction masks -------------------------------------------------------------
+
+
+class _EdgeMasks:
+    """Direction-mask tables of one host.
+
+    An orientation is an int whose bit ``m-1-i`` is ``dirs[i]``, so integer
+    order is ``dirs`` order.  ``inc[v]`` holds the bits of v's edges,
+    ``low[v]`` those whose lower endpoint is v and ``high[v]`` the rest:
+    v is a source iff ``o & inc[v] == low[v]``, a sink iff
+    ``o & inc[v] == high[v]`` (an isolated vertex is both), and flipping v
+    is ``o ^ inc[v]``.
+    """
+
+    __slots__ = ("inc", "low", "high", "_bit")
+
+    def __init__(self, host: SimpleGraph):
+        m = len(host.edge_list)
+        self.inc = [0] * host.n
+        self.low = [0] * host.n
+        self._bit = {}
+        for i, (u, v) in enumerate(host.edge_list):
+            b = m - 1 - i
+            self._bit[u, v] = b
+            self.inc[u] |= 1 << b
+            self.inc[v] |= 1 << b
+            self.low[u] |= 1 << b
+        self.high = [i ^ lo for i, lo in zip(self.inc, self.low)]
+
+    def permutation(self, perm: Sequence[int]) -> tuple[int, list]:
+        """``(keep, moved)`` for a vertex permutation that maps host edges
+        onto host edges.  ``keep`` holds the bits it leaves in place;
+        ``moved`` groups the other bits by how far they shift and whether
+        they invert, as ``(source bits, invert bits, left, right)``."""
+        keep, groups = 0, {}
+        for (u, v), s in self._bit.items():
+            a, b = perm[u], perm[v]
+            t = self._bit[(b, a) if a > b else (a, b)]
+            if s == t and a < b:
+                keep |= 1 << s
+            else:
+                key = (t - s, a > b)
+                groups[key] = groups.get(key, 0) | 1 << s
+        moved = [(src, src if inv else 0, max(shift, 0), max(-shift, 0))
+                 for (shift, inv), src in groups.items()]
+        return keep, moved
+
+    @staticmethod
+    def permute(o: int, table: tuple[int, list]) -> int:
+        keep, moved = table
+        out = o & keep
+        for src, inv, left, right in moved:
+            out |= ((o ^ inv) & src) << left >> right
+        return out
+
+
+def _to_mask(dirs: Sequence[int]) -> int:
+    out = 0
+    for d in dirs:
+        out = out << 1 | d
+    return out
+
+
+def _to_dirs(mask: int, m: int) -> tuple[int, ...]:
+    return tuple(map(int, bin(mask | 1 << m)[3:]))
+
+
+def _from_mask(host: SimpleGraph, mask: int) -> Orientation:
+    return Orientation(host, _to_dirs(mask, len(host.edge_list)), check=False)
+
+
+def _acyc_masks(host: SimpleGraph, t: _EdgeMasks) -> list[int]:
+    """Direction masks of Acyc(host), ascending.
+
+    An acyclic orientation of the subgraph on vertex set S places some v
+    first: v's edges into S - v leave it, and the rest is an acyclic
+    orientation of S - v.  The recursion runs over vertex subsets, memoised
+    on the subset; an orientation with several sources is reached once per
+    source and kept once.
+    """
+    inc, low, n = t.inc, t.low, host.n
+    memo: dict[int, list[int]] = {0: [0]}
+    span = {0: 0}  # subset -> bits of the edges that touch it
+
+    def acyc(s: int) -> list[int]:
+        if s not in memo:
+            found = set()
+            for v in range(n):
+                if s >> v & 1:
+                    sub = s ^ 1 << v
+                    rest = acyc(sub)
+                    away = low[v] & span[sub]
+                    found.update(o | away for o in rest)
+                    span[s] = span[sub] | inc[v]
+            memo[s] = list(found)
+        return memo[s]
+
+    return sorted(acyc((1 << host.n) - 1))
+
+
 def enumerate_acyc(host: SimpleGraph) -> list[Orientation]:
     """All acyclic orientations, deterministically ordered by direction bits.
 
-    Every acyclic orientation is induced by some vertex order, so sweeping
-    all n! orders and deduplicating is exact (hosts here are small).
+    They come from a recursion over vertex subsets that places one vertex
+    first at a time, on direction masks (see ``_EdgeMasks``).
     """
-    seen = set()
-    import itertools
-
-    for perm in itertools.permutations(range(host.n)):
-        pos = [0] * host.n
-        for p, vert in enumerate(perm):
-            pos[vert] = p
-        dirs = tuple(
-            1 if pos[u] < pos[v] else 0 for u, v in host.edge_list
-        )
-        seen.add(dirs)
-    return [Orientation(host, d, check=False) for d in sorted(seen)]
+    return [_from_mask(host, o) for o in _acyc_masks(host, _EdgeMasks(host))]
 
 
 def flip(o: Orientation, v: int) -> Orientation:
     """Reverse all edges at a source or sink; a no-op on isolated vertices."""
-    if not (o.is_source(v) or o.is_sink(v)):
+    t = _EdgeMasks(o.host)
+    mask = _to_mask(o.dirs)
+    if mask & t.inc[v] not in (t.low[v], t.high[v]):
         raise FlipError(f"vertex {v} is neither a source nor a sink")
-    dirs = list(o.dirs)
-    for i, (a, b) in enumerate(o.host.edge_list):
-        if a == v or b == v:
-            dirs[i] ^= 1
-    return Orientation(o.host, dirs, check=False)
+    return _from_mask(o.host, mask ^ t.inc[v])
 
 
 def apply_block_permutation(o: Orientation, perm: Sequence[int]) -> Orientation:
     """Relabel an orientation along a vertex permutation: the image directs
     perm(u) -> perm(v) exactly when u -> v."""
-    edge_index = {e: i for i, e in enumerate(o.host.edge_list)}
-    dirs = [0] * len(o.dirs)
-    for (u, v), d in zip(o.host.edge_list, o.dirs):
-        a, b = perm[u], perm[v]
-        forward = d
-        if a > b:
-            a, b = b, a
-            forward = 1 - d
-        dirs[edge_index[(a, b)]] = forward
-    return Orientation(o.host, dirs, check=False)
+    t = _EdgeMasks(o.host)
+    return _from_mask(o.host, t.permute(_to_mask(o.dirs), t.permutation(perm)))
 
 
 # -- equivalence-class partitions ----------------------------------------------
@@ -160,61 +234,46 @@ RELATIONS = (
 )
 
 
-@dataclass
 class ClassPartition:
-    relation: str
-    classes: list[list[Orientation]]
-    class_of: dict  # dirs tuple -> class id
+    """Classes of Acyc(host) under one relation, numbered by smallest member.
+
+    ``class_masks`` holds each class as an ascending list of direction
+    masks.  ``classes`` (``Orientation`` lists) and ``class_of`` (``dirs``
+    tuple to class id) are built on first access.
+    """
+
+    def __init__(self, relation: str, host: SimpleGraph,
+                 class_masks: list[list[int]]):
+        self.relation = relation
+        self.host = host
+        self.class_masks = class_masks
 
     @property
     def class_count(self) -> int:
-        return len(self.classes)
+        return len(self.class_masks)
 
-    def class_of_orientation(self, o: Orientation) -> int:
-        return self.class_of[o.dirs]
+    def representative(self, cid: int) -> Orientation:
+        """The class's smallest member."""
+        return _from_mask(self.host, self.class_masks[cid][0])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "class_sizes": [len(c) for c in self.classes],
-            "representatives": [
-                list(c[0].dirs) for c in self.classes
-            ],
-        }
+    @cached_property
+    def classes(self) -> list[list[Orientation]]:
+        return [[_from_mask(self.host, o) for o in members]
+                for members in self.class_masks]
 
-
-def _flip_moves(o: Orientation) -> Iterator[Orientation]:
-    for v in range(o.host.n):
-        if o.host.degree(v) == 0:
-            continue
-        if o.is_source(v) or o.is_sink(v):
-            yield flip(o, v)
-
-
-def _double_flip_moves(o: Orientation) -> Iterator[Orientation]:
-    host = o.host
-    srcs = o.sources()
-    snks = o.sinks()
-    for u in srcs:
-        for v in snks:
-            if u == v or host.has_edge(u, v):
-                continue
-            yield flip(flip(o, u), v)
-
-
-def _block_transposition_moves(o: Orientation, cliques: CliquePartition) -> Iterator[Orientation]:
-    n = o.host.n
-    for block in cliques.blocks:
-        for i in range(len(block) - 1):
-            perm = list(range(n))
-            a, b = block[i], block[i + 1]
-            perm[a], perm[b] = b, a
-            yield apply_block_permutation(o, perm)
+    @cached_property
+    def class_of(self) -> dict:
+        m = len(self.host.edge_list)
+        return {_to_dirs(o, m): cid for cid, members in enumerate(self.class_masks)
+                for o in members}
 
 
 def partition_by(relation: str, host: SimpleGraph,
                  cliques: Optional[CliquePartition] = None) -> ClassPartition:
-    """Partition Acyc(host) by closure under the relation's generating moves.
+    """Partition Acyc(host) by closure under the relation's generating moves:
+    flips of a source or sink (``toric``), double flips of a source and a
+    non-adjacent sink (``double_flip``), and transpositions of consecutive
+    vertices of a block (``permutation``), all on direction masks.
 
     Classes are numbered by their smallest member under the fixed
     orientation ordering, so numbering is deterministic.
@@ -227,36 +286,56 @@ def partition_by(relation: str, host: SimpleGraph,
     if needs_cliques and cliques is None:
         raise ValueError(f"relation {relation!r} needs the block partition")
 
-    def moves(o: Orientation) -> Iterator[Orientation]:
-        if relation in ("toric", "toric_permutation"):
-            yield from _flip_moves(o)
-        if relation in ("double_flip", "double_flip_permutation"):
-            yield from _double_flip_moves(o)
-        if needs_cliques:
-            yield from _block_transposition_moves(o, cliques)
+    t = _EdgeMasks(host)
+    inc, low, high = t.inc, t.low, t.high
+    n = host.n
+    flips = [v for v in range(n) if inc[v]] if relation in (
+        "toric", "toric_permutation") else []
+    double = relation in ("double_flip", "double_flip_permutation")
+    adjacent = [sum(1 << w for w in host.neighbors(v)) for v in range(n)]
+    swaps = []
+    if needs_cliques:
+        for block in cliques.blocks:
+            for a, b in zip(block, block[1:]):
+                perm = list(range(n))
+                perm[a], perm[b] = b, a
+                swaps.append(t.permutation(perm))
+    permute = t.permute
 
-    universe = enumerate_acyc(host)
-    class_of: dict = {}
-    classes: list[list[Orientation]] = []
-    for o in universe:
-        if o.dirs in class_of:
+    def moves(o: int) -> list[int]:
+        out = []
+        for v in flips:
+            at = o & inc[v]
+            if at == low[v] or at == high[v]:
+                out.append(o ^ inc[v])
+        if double:
+            sinks = [v for v in range(n) if o & inc[v] == high[v]]
+            for u in range(n):
+                if o & inc[u] == low[u]:
+                    out.extend(o ^ inc[u] ^ inc[v] for v in sinks
+                               if v != u and not adjacent[u] >> v & 1)
+        for table in swaps:
+            out.append(permute(o, table))
+        return out
+
+    class_of: dict[int, int] = {}
+    classes: list[list[int]] = []
+    for start in _acyc_masks(host, t):
+        if start in class_of:
             continue
         cid = len(classes)
-        members = [o]
-        class_of[o.dirs] = cid
-        frontier = [o]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for mv in moves(cur):
-                    if mv.dirs not in class_of:
-                        class_of[mv.dirs] = cid
-                        members.append(mv)
-                        nxt.append(mv)
-            frontier = nxt
-        members.sort(key=lambda e: e.dirs)
+        class_of[start] = cid
+        members = [start]
+        stack = [start]
+        while stack:
+            for nxt in moves(stack.pop()):
+                if nxt not in class_of:
+                    class_of[nxt] = cid
+                    members.append(nxt)
+                    stack.append(nxt)
+        members.sort()
         classes.append(members)
-    return ClassPartition(relation, classes, class_of)
+    return ClassPartition(relation, host, classes)
 
 
 # -- linear extensions and periods ----------------------------------------------
@@ -381,10 +460,8 @@ def predict_cycle_components(x: MultiplicityGraph,
         raise ValueError("n must equal the total multiplicity")
     host, cliques = complement_of_lift(x)
     part = partition_by("toric_permutation", host, cliques)
-    total = 0
-    for members in part.classes:
-        total += period_profile(members[0], cliques).delta
-    return total
+    return sum(period_profile(part.representative(cid), cliques).delta
+               for cid in range(part.class_count))
 
 
 def coprime_forest_connected(x: MultiplicityGraph) -> bool:

@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsglab.graphs import (
     CliquePartition,
@@ -65,6 +66,47 @@ def test_enumerate_acyc_counts():
         except ValueError:
             pass
     assert count == 6
+
+
+def _chromatic_at(n, edges, k, memo):
+    """The chromatic polynomial of the graph on 0..n-1 with ``edges`` (pairs
+    u < v), evaluated at k, by deletion-contraction on the largest edge."""
+    if not edges:
+        return k ** n
+    key = (n, edges)
+    if key not in memo:
+        u, v = max(edges)
+        rest = edges - {(u, v)}
+
+        def merged(w):  # v merged into u, later vertices shifted down
+            return u if w == v else w - (w > v)
+
+        contracted = frozenset(
+            (min(a, b), max(a, b))
+            for a, b in ((merged(a), merged(b)) for a, b in rest) if a != b
+        )
+        memo[key] = (_chromatic_at(n, rest, k, memo)
+                     - _chromatic_at(n - 1, contracted, k, memo))
+    return memo[key]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 2 ** (n * (n - 1) // 2) - 1))))
+def test_acyc_count_is_chromatic_polynomial_at_minus_one(case):
+    # Stanley (1973): |Acyc(G)| = |chi_G(-1)|
+    n, mask = case
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = frozenset(e for i, e in enumerate(pairs) if mask >> i & 1)
+    host = SimpleGraph(n, edges)
+    assert len(enumerate_acyc(host)) == abs(_chromatic_at(n, edges, -1, {}))
+
+
+def test_chromatic_at_known_values():
+    triangle = frozenset({(0, 1), (0, 2), (1, 2)})
+    assert _chromatic_at(3, triangle, 3, {}) == 6          # k(k-1)(k-2)
+    assert _chromatic_at(4, frozenset({(0, 1), (1, 2), (2, 3)}), 2, {}) == 2
+    assert _chromatic_at(3, frozenset(), 5, {}) == 125
 
 
 def test_flip_involution_and_errors():

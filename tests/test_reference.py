@@ -1,6 +1,7 @@
 """Differential tests: live kernels against the frozen copies in reference.py."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +172,48 @@ def test_partition_by_matches_reference(relation, x):
         [o.dirs for o in c] for c in ref.classes
     ]
     assert live.class_of == ref.class_of
+
+
+def _total7_sample():
+    """Total-7 multiplicity graphs for the predict-scale comparison: eight
+    drawn from ``multiplicity_graphs(6, 7)`` with a fixed seed, and two
+    unit-multiplicity graphs on seven base vertices.  Those stand for the
+    base-7 part of ``multiplicity_graphs(7, 7)``, drawn as random labelled
+    graphs because enumerating ``graph_classes(7)`` means canonising all
+    2^21 labelled graphs, which takes minutes."""
+    rng = random.Random(7007)
+    pool = [x for x in families.multiplicity_graphs(6, 7) if x.total == 7]
+    sample = rng.sample(pool, 8)
+    pairs = list(itertools.combinations(range(7), 2))
+    for p in (0.3, 0.6):
+        base = SimpleGraph(7, [e for e in pairs if rng.random() < p])
+        sample.append(MultiplicityGraph(base, (1,) * 7))
+    return sample
+
+
+TOTAL7 = _total7_sample()
+
+
+def test_total7_sample_covers_isolated_vertices_and_components():
+    hosts = [complement_of_lift(x)[0] for x in TOTAL7]
+    # an isolated vertex is both a source and a sink, so double flips pair
+    # it with every other sink and source
+    assert any(0 in map(h.degree, range(h.n)) for h in hosts)
+    assert any(len(h.connected_components()) > 1 for h in hosts)
+    assert any(h.m >= 12 for h in hosts)
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_partition_by_matches_reference_at_predict_scale(relation):
+    for x in TOTAL7:
+        host, cliques = complement_of_lift(x)
+        live = partition_by(relation, host, cliques)
+        ref = reference.partition_by(relation, host, cliques)
+        assert live.class_count == ref.class_count, x
+        assert [[o.dirs for o in c] for c in live.classes] == [
+            [o.dirs for o in c] for c in ref.classes
+        ], x
+        assert live.class_of == ref.class_of, x
 
 
 # -- packing search -------------------------------------------------------------

@@ -314,6 +314,35 @@ def test_quotient_audit_small_family():
             assert quotient_audit(x, y), (x, y)
 
 
+def _graph(n, mask):
+    pairs = list(itertools.combinations(range(n), 2))
+    return SimpleGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def _graphs(n):
+    return st.integers(0, 2 ** (n * (n - 1) // 2) - 1).map(lambda m: _graph(n, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(_graphs(n), _graphs(n))))
+def test_fs_swapping_the_graphs_keeps_component_sizes(pair):
+    # an arrangement of FS(X, Y) maps to its inverse in FS(Y, X), and a
+    # friendly swap to a friendly swap (Defant-Kravitz 2020)
+    x, y = pair
+    assert sorted(build_components(x, y, variant="fs").component_sizes) == \
+        sorted(build_components(y, x, variant="fs").component_sizes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=6)
+       .filter(lambda mult: sum(mult) <= 6)
+       .flatmap(lambda mult: st.tuples(_graphs(sum(mult)), _graphs(len(mult)),
+                                       st.just(tuple(mult)))))
+def test_quotient_audit_on_random_multiplicities(case):
+    x, base, mult = case
+    assert quotient_audit(x, MultiplicityGraph(base, mult))
+
+
 # -- bridge component invariant ---------------------------------------------------------
 
 def test_kbridge_invariant_p5():
