@@ -162,6 +162,7 @@ def _to_mask(dirs: Sequence[int]) -> int:
 
 
 def _to_dirs(mask: int, m: int) -> tuple[int, ...]:
+    # the guard bit above bit m-1 keeps leading zeros ('0b1' + m digits)
     return tuple(map(int, bin(mask | 1 << m)[3:]))
 
 
@@ -289,8 +290,8 @@ def partition_by(relation: str, host: SimpleGraph,
     t = _EdgeMasks(host)
     inc, low, high = t.inc, t.low, t.high
     n = host.n
-    flips = [v for v in range(n) if inc[v]] if relation in (
-        "toric", "toric_permutation") else []
+    toric = relation in ("toric", "toric_permutation")
+    flips = [v for v in range(n) if inc[v]] if toric else []
     double = relation in ("double_flip", "double_flip_permutation")
     adjacent = [sum(1 << w for w in host.neighbors(v)) for v in range(n)]
     swaps = []
