@@ -138,8 +138,7 @@ def cmd_components(args):
     x = load_graph_arg(args.x)
     y = load_graph_arg(args.y)
     report = build_components(x, y, budget=args.budget, variant=args.variant)
-    text = json.dumps(report.to_json_dict(include_ids=args.dump_ids),
-                      sort_keys=True) + "\n"
+    text = report.to_json(include_ids=args.dump_ids) + "\n"
     return text, None, EXIT_OK
 
 

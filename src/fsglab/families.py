@@ -1,7 +1,12 @@
 """Enumeration of small graph families and multiplicity lists for sweeps.
 
-Graphs are generated by edge-set enumeration with isomorphism rejection;
-a cheap iterated-degree coloring prunes the permutation search, which is
+Graph classes are grown one vertex at a time (vertex augmentation, after
+McKay 1998, "Isomorph-free exhaustive generation"): every class on n
+vertices is a class on n - 1 vertices plus a vertex joined to some subset
+of the old ones.  ``canonical_key`` rejects isomorphs among those
+candidates; a cheap iterated-degree coloring prunes its permutation
+search.  Each class is then represented by its labelling with the smallest
+edge mask, found by a pruned search over vertex placements.  This is
 plenty for the vertex counts used here (n <= 6, occasionally 7).
 """
 
@@ -9,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 from .graphs import MultiplicityGraph, SimpleGraph, compositions
 
@@ -69,28 +75,52 @@ def canonical_key(g: SimpleGraph) -> tuple:
     return (n, best)
 
 
-def all_graphs(n: int, connected: bool = False) -> Iterator[SimpleGraph]:
-    """Every labeled graph on n vertices (optionally connected only)."""
-    pairs = _edge_pairs(n)
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        g = SimpleGraph(n, edges)
-        if connected and not g.is_connected():
-            continue
-        yield g
+def _min_mask_labelling(g: SimpleGraph) -> SimpleGraph:
+    """The relabelling of ``g`` with the smallest edge mask, bit i standing
+    for ``_edge_pairs(n)[i]``.
 
-
-from functools import lru_cache
+    Positions are filled n - 1, n - 2, ..., 0.  Placing a vertex at
+    position k fixes the bits of the pairs (k, j), j > k, which are the
+    next-highest bits of the mask after those already fixed; read with
+    j = n - 1 most significant, they form the vertex's row.  So only the
+    partial labellings whose new row is the smallest of the level can
+    extend to the minimum, and the search keeps just those."""
+    n = g.n
+    adj = [0] * n
+    for u, v in g.edge_list:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    # (vertices placed, positions n-1 downward; rows of every vertex over them)
+    level = [((), [0] * n)]
+    for _ in range(n):
+        best = min(rows[v] for placed, rows in level
+                   for v in range(n) if v not in placed)
+        level = [
+            (placed + (w,), [r << 1 | adj[u] >> w & 1 for u, r in enumerate(rows)])
+            for placed, rows in level
+            for w in range(n) if w not in placed and rows[w] == best
+        ]
+    placed = level[0][0]
+    pos = [0] * n
+    for i, v in enumerate(placed):
+        pos[v] = n - 1 - i
+    return SimpleGraph(n, [(pos[u], pos[v]) for u, v in g.edge_list])
 
 
 @lru_cache(maxsize=None)
 def _graph_classes_cached(n: int, connected: bool) -> tuple[SimpleGraph, ...]:
-    reps: dict[tuple, SimpleGraph] = {}
-    for g in all_graphs(n, connected=connected):
-        key = canonical_key(g)
-        if key not in reps:
-            reps[key] = g
-    return tuple(reps[k] for k in sorted(reps))
+    if n <= 1:
+        return (SimpleGraph(n, []),)
+    # every graph on n vertices is a graph on n - 1 vertices plus a vertex;
+    # a connected one has a vertex that is no cut vertex, so a connected
+    # class plus a vertex with at least one neighbour reaches it
+    found: dict[tuple, SimpleGraph] = {}
+    for base in _graph_classes_cached(n - 1, connected):
+        for nbrs in range(1 if connected else 0, 1 << (n - 1)):
+            g = SimpleGraph(n, base.edge_list + tuple(
+                (u, n - 1) for u in range(n - 1) if nbrs >> u & 1))
+            found.setdefault(canonical_key(g), g)
+    return tuple(_min_mask_labelling(found[k]) for k in sorted(found))
 
 
 def graph_classes(n: int, connected: bool = False) -> list[SimpleGraph]:

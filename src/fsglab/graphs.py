@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 
@@ -340,7 +340,7 @@ class CliquePartition:
     def total(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    @property
+    @cached_property
     def block_of(self) -> tuple[int, ...]:
         out = [0] * self.total
         for i, b in enumerate(self.blocks):

@@ -217,13 +217,6 @@ def flip(o: Orientation, v: int) -> Orientation:
     return _from_mask(o.host, mask ^ t.inc[v])
 
 
-def apply_block_permutation(o: Orientation, perm: Sequence[int]) -> Orientation:
-    """Relabel an orientation along a vertex permutation: the image directs
-    perm(u) -> perm(v) exactly when u -> v."""
-    t = _EdgeMasks(o.host)
-    return _from_mask(o.host, t.permute(_to_mask(o.dirs), t.permutation(perm)))
-
-
 # -- equivalence-class partitions ----------------------------------------------
 
 RELATIONS = (
@@ -388,7 +381,6 @@ def period_of_arrangement(a: Sequence[int], cliques: CliquePartition) -> int:
     for d in _divisors(n):
         if all(proj[i] == proj[(i + d) % n] for i in range(n)):
             return d
-    return n
 
 
 def period_of_orientation(o: Orientation, cliques: CliquePartition) -> int:

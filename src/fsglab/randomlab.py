@@ -233,18 +233,6 @@ def balance_arrangement(
     return swaps
 
 
-def apply_label_swaps(a: Sequence[int], swaps: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    sigma = list(a)
-    inv = [0] * len(sigma)
-    for p, lab in enumerate(sigma):
-        inv[lab] = p
-    for c, d in swaps:
-        pc, pd = inv[c], inv[d]
-        sigma[pc], sigma[pd] = d, c
-        inv[c], inv[d] = pd, pc
-    return tuple(sigma)
-
-
 # -- Monte Carlo sweeps ------------------------------------------------------------
 
 

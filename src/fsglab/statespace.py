@@ -35,6 +35,7 @@ once and its ``edge_count`` is the number of forward moves.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -183,17 +184,6 @@ class FSmmSpace:
 
         return fill(0, self.y.mult, [])
 
-    def is_valid(self, a) -> bool:
-        if len(a) != self.x.base.n:
-            return False
-        if any(len(row) != self.y.base.n for row in a):
-            return False
-        if any(v < 0 for row in a for v in row):
-            return False
-        if tuple(sum(row) for row in a) != self.x.mult:
-            return False
-        return tuple(sum(col) for col in zip(*a)) == self.y.mult
-
     def neighbors(self, a) -> list[tuple[tuple[int, ...], ...]]:
         out = []
         for u, v in self.x.base.edge_list:
@@ -294,23 +284,50 @@ class ComponentsReport:
     def component_of(self, a) -> int:
         return self.component_id[a]
 
-    def to_json_dict(self, include_ids: bool = False) -> dict:
-        d = {
+    def to_json(self, include_ids: bool = False) -> str:
+        """The report as JSON text with sorted keys.  ``include_ids`` adds
+        ``component_id``, each arrangement keyed by ``_arrangement_key``;
+        its members are written out without a dict of those keys."""
+        text = json.dumps({
             "vertices": self.vertex_count,
             "edges": self.edge_count,
             "components": list(self.component_sizes),
-        }
-        if include_ids:
-            d["component_id"] = {
-                _arrangement_key(a): i for a, i in self.component_id.items()
-            }
-        return d
+        }, sort_keys=True)
+        if not include_ids:
+            return text
+        # "component_id" sorts before the other keys
+        return '{"component_id": {' + _id_members(self.component_id) + "}, " + text[1:]
 
 
 def _arrangement_key(a) -> str:
     if a and isinstance(a[0], tuple):
         return ";".join(",".join(map(str, row)) for row in a)
     return ",".join(map(str, a))
+
+
+def _id_members(component_id: dict) -> str:
+    """The ``"key": id`` members of the ``component_id`` object in key order.
+
+    While every entry has one digit, enumeration order is key order, and
+    the members are joined in chunks as they come; otherwise they are
+    sorted (a quote sorts before any key character, so members sort as
+    their keys do)."""
+    chunks: list[str] = []
+    members: list[str] = []
+    prev = ""
+    for a, i in component_id.items():
+        key = _arrangement_key(a)
+        if key < prev:
+            return ", ".join(sorted(
+                f'"{_arrangement_key(b)}": {j}' for b, j in component_id.items()))
+        prev = key
+        members.append(f'"{key}": {i}')
+        if len(members) == 4096:
+            chunks.append(", ".join(members))
+            members = []
+    if members:
+        chunks.append(", ".join(members))
+    return ", ".join(chunks)
 
 
 class _UnionFind:
@@ -431,18 +448,18 @@ def is_exchangeable(x, y, a, u: int, v: int, budget: Optional[int] = None,
     """
     if u == v:
         raise ValueError("pair must be distinct")
+    if variant == "fsmm":
+        raise ValueError("exchangeability is defined for fs and fsm variants")
     space = space_for(x, y, variant)
     a = tuple(a)
     if not space.is_valid(a):
         raise InvalidArrangementError(f"invalid arrangement {a!r}")
     if variant == "fs":
         target = tuple(u if t == v else v if t == u else t for t in a)
-    elif variant == "fsm":
+    else:
         b = list(a)
         b[u], b[v] = b[v], b[u]
         target = tuple(b)
-    else:
-        raise ValueError("exchangeability is defined for fs and fsm variants")
     return target == a or any(s == target for s in reachable(space, a, budget))
 
 

@@ -7,6 +7,9 @@
 * The orientation layer (``Orientation``, ``enumerate_acyc``,
   ``partition_by`` and the moves it closes under) and the packing search
   ``find_packing``, before their kernels change.
+* ``graph_classes`` as a scan of every labelled graph (``all_graphs``)
+  through ``canonical_key``, first labelling seen wins, before classes
+  were grown by vertex augmentation.
 
 Each is copied unchanged.  ``tests/test_reference.py`` checks the live code
 against these copies.  Do not edit the copied code: its value is that it
@@ -18,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from fsglab.graphs import (
@@ -658,3 +662,87 @@ def find_packing(
 
     res = place(0)
     return tuple(res) if res is not None else None
+
+
+# -- graph classes ------------------------------------------------------------
+
+
+def _edge_pairs(n: int) -> list[tuple[int, int]]:
+    return list(itertools.combinations(range(n), 2))
+
+
+def _wl_colors(n: int, adj: list[list[int]], rounds: int = 2) -> tuple[int, ...]:
+    colors = [len(a) for a in adj]
+    for _ in range(rounds):
+        keys = [
+            (colors[v], tuple(sorted(colors[w] for w in adj[v])))
+            for v in range(n)
+        ]
+        remap = {k: i for i, k in enumerate(sorted(set(keys)))}
+        colors = [remap[k] for k in keys]
+    return tuple(colors)
+
+
+def canonical_key(g: SimpleGraph) -> tuple:
+    """Isomorphism-invariant key: minimum edge bitmask over all vertex
+    permutations that preserve the refined color classes."""
+    n = g.n
+    pairs = _edge_pairs(n)
+    pair_index = {p: i for i, p in enumerate(pairs)}
+    mask = 0
+    for e in g.edge_list:
+        mask |= 1 << pair_index[e]
+    adj = [list(g.neighbors(v)) for v in range(n)]
+    colors = _wl_colors(n, adj)
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(colors[v], []).append(v)
+    ordered_groups = [groups[c] for c in sorted(groups)]
+    slots: list[int] = []
+    for grp in ordered_groups:
+        slots.extend(range(len(slots), len(slots) + len(grp)))
+    best = None
+    for placed in itertools.product(
+        *(itertools.permutations(grp) for grp in ordered_groups)
+    ):
+        perm = [0] * n  # old vertex -> new position
+        i = 0
+        for grp_perm in placed:
+            for v in grp_perm:
+                perm[v] = slots[i]
+                i += 1
+        m2 = 0
+        for u, v in g.edge_list:
+            a, b = perm[u], perm[v]
+            if a > b:
+                a, b = b, a
+            m2 |= 1 << pair_index[(a, b)]
+        if best is None or m2 < best:
+            best = m2
+    return (n, best)
+
+
+def all_graphs(n: int, connected: bool = False) -> Iterator[SimpleGraph]:
+    """Every labeled graph on n vertices (optionally connected only)."""
+    pairs = _edge_pairs(n)
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        g = SimpleGraph(n, edges)
+        if connected and not g.is_connected():
+            continue
+        yield g
+
+
+@lru_cache(maxsize=None)
+def _graph_classes_cached(n: int, connected: bool) -> tuple[SimpleGraph, ...]:
+    reps: dict[tuple, SimpleGraph] = {}
+    for g in all_graphs(n, connected=connected):
+        key = canonical_key(g)
+        if key not in reps:
+            reps[key] = g
+    return tuple(reps[k] for k in sorted(reps))
+
+
+def graph_classes(n: int, connected: bool = False) -> list[SimpleGraph]:
+    """One representative per isomorphism class, deterministic order."""
+    return list(_graph_classes_cached(n, connected))

@@ -34,7 +34,6 @@ from fsglab.graphs import (
     SimpleGraph,
     articulation_analysis,
     bipartition,
-    complement,
     contingency_count,
     cycle_graph,
     lift,

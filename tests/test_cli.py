@@ -282,3 +282,33 @@ def test_manifest_written_next_to_output(workdir):
     m = json.loads(open("r.json.manifest.json").read())
     assert m["config"]["x"] == "p3.json"
     assert m["tool_version"]
+
+
+def _json_error(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["components", "--x", "missing.json", "--y", "p3.json"],
+     "error: graph input not found: missing.json\n"),
+    (["predict", "--theorem", "thm16", "--x", "path:4"],
+     "error: thm16 needs --star\n"),
+    (["verify", "malformed.json"],
+     f"error: bad family spec: {_json_error('{nope')}\n"),
+    (["sweep", "--config", "malformed.json"],
+     f"error: bad sweep config: {_json_error('{nope')}\n"),
+    (["predict", "--theorem", "thm14", "--x", "edgeless:3"],
+     "precondition violated: label graph must be connected\n"),
+], ids=["missing-graph", "thm16-without-star", "malformed-spec",
+        "malformed-config", "precondition"])
+def test_bad_input_exits_2_with_one_stderr_line(workdir, capsys, argv, err):
+    with open("malformed.json", "w") as fh:
+        fh.write("{nope")
+    assert main(argv + ["--out", "o.txt"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", err)
+    assert sorted(os.listdir(".")) == ["edge12.json", "iso.json",
+                                        "malformed.json", "p3.json"]

@@ -32,6 +32,7 @@ from fsglab.graphs import (
     theta0,
     wilson_star_components,
 )
+import reference
 from fsglab import families
 from fsglab.statespace import build_components
 
@@ -298,7 +299,7 @@ def test_k2_bridges_empty_on_connected_graphs():
     # exhaustive over all labeled connected graphs up to 6 vertices,
     # sampled at 7
     for n in range(2, 7):
-        for g in families.all_graphs(n, connected=True):
+        for g in reference.all_graphs(n, connected=True):
             assert find_k_bridges(g, 2) == []
     rng = random.Random(3)
     count = 0

@@ -21,7 +21,6 @@ from fsglab.graphs import (
 from fsglab.orientations import (
     FlipError,
     Orientation,
-    apply_block_permutation,
     complement_of_lift,
     coprime_forest_connected,
     enumerate_acyc,
@@ -35,7 +34,6 @@ from fsglab.orientations import (
     predict_cycle_components,
     predict_path_components,
 )
-from fsglab.statespace import build_components
 from fsglab import families
 
 

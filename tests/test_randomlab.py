@@ -1,24 +1,20 @@
 """Samplers, packing search, balancing, and Monte Carlo sweeps."""
 
-import itertools
 import random
 
 import pytest
 
 from fsglab.graphs import (
     SimpleGraph,
-    bipartition,
     complete_bipartite_graph,
     complete_graph,
     edgeless_graph,
     is_valid_bipartition,
-    path_graph,
 )
 from fsglab.randomlab import (
     ExperimentConfig,
     InsufficientMatchingError,
     PackingBudgetError,
-    apply_label_swaps,
     balance_arrangement,
     find_packing,
     run_sweep,

@@ -149,6 +149,41 @@ def test_is_wilsonian_matches_reference(n):
         assert is_wilsonian(g) == reference.is_wilsonian(g), g
 
 
+# -- graph classes --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("connected", (False, True))
+@pytest.mark.parametrize("n", range(0, 7))
+def test_graph_classes_match_reference(n, connected):
+    assert [(g.n, g.edge_list) for g in families.graph_classes(n, connected)] == [
+        (g.n, g.edge_list) for g in reference.graph_classes(n, connected)]
+
+
+def test_graph_class_counts_at_seven_vertices():
+    # OEIS A000088 and A001349
+    assert len(families.graph_classes(7)) == 1044
+    assert len(families.graph_classes(7, connected=True)) == 853
+
+
+def _edge_mask(n, edges):
+    index = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
+    return sum(1 << index[(u, v) if u < v else (v, u)] for u, v in edges)
+
+
+def test_min_mask_labelling_matches_brute_force():
+    rng = random.Random(1998)
+    for n in range(0, 7):
+        for rep in families.graph_classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = SimpleGraph(n, [(perm[u], perm[v]) for u, v in rep.edge_list])
+            brute = min(_edge_mask(n, [(p[u], p[v]) for u, v in g.edge_list])
+                        for p in itertools.permutations(range(n)))
+            best = families._min_mask_labelling(g)
+            assert _edge_mask(n, best.edge_list) == brute, rep
+            assert best == rep
+
+
 # -- orientations ---------------------------------------------------------------
 
 
@@ -177,10 +212,10 @@ def test_partition_by_matches_reference(relation, x):
 def _total7_sample():
     """Total-7 multiplicity graphs for the predict-scale comparison: eight
     drawn from ``multiplicity_graphs(6, 7)`` with a fixed seed, and two
-    unit-multiplicity graphs on seven base vertices.  Those stand for the
-    base-7 part of ``multiplicity_graphs(7, 7)``, drawn as random labelled
-    graphs because enumerating ``graph_classes(7)`` means canonising all
-    2^21 labelled graphs, which takes minutes."""
+    unit-multiplicity graphs on seven base vertices.  Those two stand for
+    the base-7 part of ``multiplicity_graphs(7, 7)``, one graph per each of
+    the 1,044 classes on seven vertices; random labelled graphs keep the
+    comparison with the reference orientation layer to two hosts."""
     rng = random.Random(7007)
     pool = [x for x in families.multiplicity_graphs(6, 7) if x.total == 7]
     sample = rng.sample(pool, 8)

@@ -1,6 +1,7 @@
 """Arrangement state spaces: enumeration, components, audits."""
 
 import itertools
+import json
 import math
 import random
 
@@ -22,6 +23,7 @@ from fsglab.statespace import (
     FSmmSpace,
     InvalidArrangementError,
     KBridgeError,
+    _arrangement_key,
     build_components,
     is_exchangeable,
     kbridge_component_invariant,
@@ -174,6 +176,29 @@ def test_component_ids_dense_and_deterministic():
     assert sum(rep.component_sizes) == rep.vertex_count
 
 
+K2 = SimpleGraph(2, [(0, 1)])
+
+
+@pytest.mark.parametrize("x, y, variant", [
+    (path_graph(5), cycle_graph(5), "fs"),
+    (cycle_graph(5), MultiplicityGraph(path_graph(3), (2, 2, 1)), "fsm"),
+    (MultiplicityGraph(path_graph(3), (2, 2, 2)),
+     MultiplicityGraph(path_graph(4), (3, 1, 1, 1)), "fsmm"),
+    # two-digit entries: key order is not enumeration order
+    (MultiplicityGraph(path_graph(3), (10, 10, 3)),
+     MultiplicityGraph(K2, (12, 11)), "fsmm"),
+    (edgeless_graph(0), edgeless_graph(0), "fs"),
+])
+def test_json_text_is_the_sorted_dump_of_the_key_dict(x, y, variant):
+    rep = build_components(x, y, variant=variant)
+    d = {"vertices": rep.vertex_count, "edges": rep.edge_count,
+         "components": rep.component_sizes}
+    assert rep.to_json() == json.dumps(d, sort_keys=True)
+    d["component_id"] = {_arrangement_key(a): i
+                         for a, i in rep.component_id.items()}
+    assert rep.to_json(include_ids=True) == json.dumps(d, sort_keys=True)
+
+
 # -- exchangeability -----------------------------------------------------------------
 
 def test_exchangeable_fs_labels():
@@ -205,6 +230,12 @@ def test_exchangeable_rejects_bad_arrangement():
         is_exchangeable(path_graph(3), path_graph(3), (0, 1.0, 2), 0, 1, variant="fs")
     with pytest.raises(InvalidArrangementError):
         is_exchangeable(path_graph(3), EDGE12, (1, 0.0, 1), 0, 1, variant="fsm")
+
+
+def test_exchangeable_rejects_fsmm_before_reading_the_arrangement():
+    x = MultiplicityGraph(K2, (2, 1))
+    with pytest.raises(ValueError, match="defined for fs and fsm variants"):
+        is_exchangeable(x, x, "not an arrangement", 0, 1, variant="fsmm")
 
 
 def test_exchangeable_answers_before_charging_the_budget():
@@ -387,7 +418,7 @@ def test_kbridge_invariant_rejects_non_bridge():
 def test_cut_vertex_bound_small():
     # label graphs with a unit-multiplicity cut vertex against position
     # graphs with a cut vertex: component count >= contingency count
-    from fsglab.graphs import articulation_analysis, contingency_count
+    from fsglab.graphs import contingency_count
 
     x = MultiplicityGraph(path_graph(3), (1, 1, 1))  # center is a cut vertex
     y = path_graph(3)
