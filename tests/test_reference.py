@@ -213,9 +213,9 @@ def _total7_sample():
     """Total-7 multiplicity graphs for the predict-scale comparison: eight
     drawn from ``multiplicity_graphs(6, 7)`` with a fixed seed, and two
     unit-multiplicity graphs on seven base vertices.  Those two stand for
-    the base-7 part of ``multiplicity_graphs(7, 7)``, one graph per each of
-    the 1,044 classes on seven vertices; random labelled graphs keep the
-    comparison with the reference orientation layer to two hosts."""
+    the base-7 part of ``multiplicity_graphs(7, 7)``, which holds one graph
+    for each of the 1,044 classes on seven vertices; random labelled graphs
+    keep the comparison with the reference orientation layer to two hosts."""
     rng = random.Random(7007)
     pool = [x for x in families.multiplicity_graphs(6, 7) if x.total == 7]
     sample = rng.sample(pool, 8)
