@@ -20,8 +20,15 @@ from typing import Sequence
 from .graphs import MultiplicityGraph, SimpleGraph, compositions
 
 
-def _edge_pairs(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(n), 2))
+@lru_cache(maxsize=None)
+def _edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(itertools.combinations(range(n), 2))
+
+
+@lru_cache(maxsize=None)
+def _pair_bits(n: int) -> dict[tuple[int, int], int]:
+    """Pair (u, v), u < v, to its bit ``1 << _edge_pairs(n).index((u, v))``."""
+    return {p: 1 << i for i, p in enumerate(_edge_pairs(n))}
 
 
 def _wl_colors(n: int, adj: list[list[int]], rounds: int = 2) -> tuple[int, ...]:
@@ -40,11 +47,7 @@ def canonical_key(g: SimpleGraph) -> tuple:
     """Isomorphism-invariant key: minimum edge bitmask over all vertex
     permutations that preserve the refined color classes."""
     n = g.n
-    pairs = _edge_pairs(n)
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    mask = 0
-    for e in g.edge_list:
-        mask |= 1 << pair_index[e]
+    pair_bits = _pair_bits(n)
     adj = [list(g.neighbors(v)) for v in range(n)]
     colors = _wl_colors(n, adj)
     groups: dict[int, list[int]] = {}
@@ -69,7 +72,7 @@ def canonical_key(g: SimpleGraph) -> tuple:
             a, b = perm[u], perm[v]
             if a > b:
                 a, b = b, a
-            m2 |= 1 << pair_index[(a, b)]
+            m2 |= pair_bits[(a, b)]
         if best is None or m2 < best:
             best = m2
     return (n, best)

@@ -16,6 +16,17 @@ Two construction modes:
   validator except the literal edge budget ``p4_edge_budget``, which the
   interval-deletion property rules out (see
   ``test_c11_gadget_edge_budget_as_stated``).
+
+The interval-deletion audit asks, for each sampled pool subset R, whether
+G - {u, v} - R is biconnected.  It answers from one small graph per pair
+instead of walking all of G each time: in G - {u, v} the pool vertices and
+every vertex of degree other than 2 are terminals, each maximal chain of
+other vertices between two terminals keeps one inner vertex (two when it
+returns to its own start), and a terminal-free cycle gets one terminal.
+The verdict is unchanged because subdividing an edge of a 2-connected graph
+keeps it 2-connected, suppressing a degree-2 vertex whose two neighbours
+are not adjacent keeps it 2-connected, and a chain with a removed end
+leaves a vertex of degree <= 1 in both graphs.
 """
 
 from __future__ import annotations
@@ -666,6 +677,18 @@ def removable_set(pair: GadgetPair) -> list[int]:
     return out
 
 
+def _audit_cases(pair: GadgetPair, samples: int, seed: int) -> list[tuple]:
+    """The removal sets the audit tries: u and v alone, u and v with the
+    whole pool, then u and v with random halves of the pool."""
+    pool = [x for x in removable_set(pair) if x not in (pair.u, pair.v)]
+    rng = random.Random(seed)
+    base = (pair.u, pair.v)
+    cases = [base, base + tuple(pool)]
+    while len(cases) < samples:
+        cases.append(base + tuple(x for x in pool if rng.random() < 0.5))
+    return cases[:samples]
+
+
 def _interval_deletion_audit(pair: GadgetPair, samples: int, seed: int):
     """Sample removal sets and check star-swap regularity of the rest.
 
@@ -674,20 +697,94 @@ def _interval_deletion_audit(pair: GadgetPair, samples: int, seed: int):
     the vertices u and v themselves.  (Without that, stranding u by deleting
     its whole fixed neighborhood {s1, s2, s3, v} would be possible, and no
     construction could pass.)
+
+    Biconnectivity is read from the small graph of ``_SuppressedGraph``,
+    not from all of G.  Its terminals are the pool and every vertex whose
+    degree in G - {u, v} is not 2; each maximal chain of other vertices
+    between two terminals keeps one inner vertex, or two when it returns to
+    its own start, and a terminal-free cycle gets one terminal.  The verdict
+    is the same:
+    - subdividing an edge of a 2-connected graph keeps it 2-connected;
+    - suppressing a degree-2 vertex whose two neighbours are not adjacent
+      also keeps it 2-connected;
+    - a chain with a removed end leaves a vertex of degree <= 1 in both
+      graphs, so neither graph is biconnected.
+    The cycle and theta0 tests still count on G: suppression keeps
+    |E| - |V| but not |V|.
     """
-    pool = [x for x in removable_set(pair) if x not in (pair.u, pair.v)]
-    rng = random.Random(seed)
+    fixed = {pair.u, pair.v}
+    small = _SuppressedGraph(pair.g, fixed, removable_set(pair))
+    cases = _audit_cases(pair, samples, seed)
     fails = 0
-    tried = 0
-    base = (pair.u, pair.v)
-    cases = [base, base + tuple(pool)]
-    while len(cases) < samples:
-        cases.append(base + tuple(x for x in pool if rng.random() < 0.5))
-    for removed in cases[:samples]:
-        tried += 1
-        if not _wilson_regular_after_removal(pair.g, set(removed)):
+    for removed in cases:
+        removed = set(removed)
+        if not (small.biconnected(removed - fixed)
+                and _neither_cycle_nor_theta0(pair.g, removed)):
             fails += 1
-    return fails, tried
+    return fails, len(cases)
+
+
+class _SuppressedGraph:
+    """G - ``fixed`` with its degree-2 chains shrunk, answering whether
+    G - ``fixed`` - R is biconnected for any R inside ``pool``.
+
+    The terminals are the pool vertices outside ``fixed`` and every vertex
+    whose degree in G - ``fixed`` is not 2.  Each maximal chain of other
+    vertices between two terminals keeps its first inner vertex, or its
+    first two when it returns to its own start (one would close a double
+    edge).  A component that is a cycle without a terminal gets one of its
+    vertices made a terminal.
+    """
+
+    def __init__(self, g: SimpleGraph, fixed, pool):
+        fixed = set(fixed)
+        pool = [x for x in pool if x not in fixed]
+        nbrs = [[w for w in g.neighbors(x) if w not in fixed] for x in range(g.n)]
+        terminal = [x not in fixed and len(nbrs[x]) != 2 for x in range(g.n)]
+        for x in pool:
+            terminal[x] = True
+        seen = list(terminal)
+        edges = []
+
+        def walk(t: int):
+            for w in nbrs[t]:
+                if terminal[w]:
+                    if t < w:
+                        edges.append((t, w))
+                    continue
+                if seen[w]:
+                    continue  # the chain was walked from its other end
+                inner, prev, cur = [], t, w
+                while not terminal[cur]:
+                    seen[cur] = True
+                    inner.append(cur)
+                    a, b = nbrs[cur]
+                    prev, cur = cur, (b if a == prev else a)
+                path = [t] + inner[:1 if cur != t else 2] + [cur]
+                edges.extend(zip(path, path[1:]))
+
+        for t in range(g.n):
+            if terminal[t]:
+                walk(t)
+        for x in range(g.n):
+            if not seen[x] and x not in fixed:
+                terminal[x] = seen[x] = True
+                walk(x)
+        ids = {x: i for i, x in enumerate(x for x in range(g.n) if terminal[x])}
+        for e in edges:
+            for x in e:
+                ids.setdefault(x, len(ids))
+        self.h = SimpleGraph(len(ids), [(ids[a], ids[b]) for a, b in edges])
+        self._pool_id = {x: ids[x] for x in pool}
+
+    def biconnected(self, removed) -> bool:
+        """Whether G - ``fixed`` - ``removed`` is biconnected; ``removed``
+        must lie inside the pool."""
+        try:
+            ids = [self._pool_id[x] for x in removed]
+        except KeyError as exc:
+            raise ValueError(f"vertex {exc.args[0]} is not in the pool") from None
+        return articulation_analysis(self.h, ids)[1]
 
 
 def _wilson_regular_after_removal(g: SimpleGraph, removed: set) -> bool:
@@ -695,9 +792,13 @@ def _wilson_regular_after_removal(g: SimpleGraph, removed: set) -> bool:
     vertex, >= 3 vertices, not a cycle, not the exceptional 7-vertex graph.
     (The gadget is bipartite, so its star puzzle splits into exactly the
     two parity classes.)"""
-    _, biconn = articulation_analysis(g, removed)
-    if not biconn:
-        return False
+    return (articulation_analysis(g, removed)[1]
+            and _neither_cycle_nor_theta0(g, removed))
+
+
+def _neither_cycle_nor_theta0(g: SimpleGraph, removed: set) -> bool:
+    """For a biconnected G minus ``removed``: that it is neither a cycle
+    nor the exceptional 7-vertex graph."""
     kept = g.n - len(removed)
     # count the surviving edges from the removed side: each edge inside
     # ``removed`` is subtracted twice by the degree sum and seen twice here

@@ -5,10 +5,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsglab import families
 from fsglab.graphs import (
     SimpleGraph,
+    articulation_analysis,
     bipartition,
     complete_graph,
     edgeless_graph,
@@ -20,6 +22,8 @@ from fsglab.gadgets import (
     EmbeddingBudgetError,
     InfeasibleParamsError,
     PlacementConflictError,
+    _audit_cases,
+    _SuppressedGraph,
     build_gadget,
     check_gadget_exchangeability,
     derive_params,
@@ -165,6 +169,71 @@ def test_deletion_audit_rejects_theta0_and_cycle_remainders():
     assert _wilson_regular_after_removal(complete_graph(5), {0})
     # unlike is_wilsonian, the audit counts a triangle as a cycle
     assert not _wilson_regular_after_removal(complete_graph(5), {0, 1})
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A shuffled disjoint union of one to three sparse pieces: a cycle with
+    chords, a path, a tree, two cycles sharing one vertex, or a bare
+    cycle."""
+    edges, n = [], 0
+    kinds = ("chorded", "path", "tree", "figure_eight", "cycle")
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        if kind == "path":
+            k = draw(st.integers(1, 7))
+            piece = [(i, i + 1) for i in range(k - 1)]
+        elif kind == "tree":
+            k = draw(st.integers(1, 8))
+            piece = [(i, draw(st.integers(0, i - 1))) for i in range(1, k)]
+        elif kind == "figure_eight":
+            a, b = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+            loop = [0] + list(range(a, a + b - 1))
+            k = a + b - 1
+            piece = [(i, (i + 1) % a) for i in range(a)] + list(
+                zip(loop, loop[1:] + loop[:1]))
+        else:
+            k = draw(st.integers(3, 9))
+            piece = [(i, (i + 1) % k) for i in range(k)]
+            if kind == "chorded":
+                chords = draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                                 st.integers(0, k - 1)), max_size=3))
+                piece += [(a, b) for a, b in chords if a != b]
+        edges += [(n + a, n + b) for a, b in piece]
+        n += k
+    perm = draw(st.permutations(range(n)))
+    return SimpleGraph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_suppressed_graph_matches_direct_biconnectivity(data):
+    g = data.draw(sparse_graphs())
+    roles = data.draw(st.lists(st.sampled_from("oooopf"), min_size=g.n, max_size=g.n))
+    fixed = {x for x in range(g.n) if roles[x] == "f"}
+    pool = [x for x in range(g.n) if roles[x] == "p"]
+    small = _SuppressedGraph(g, fixed, pool)
+    removals = [set(), set(pool)] + data.draw(st.lists(
+        st.sets(st.sampled_from(pool)) if pool else st.just(set()), max_size=4))
+    for removed in removals:
+        assert small.biconnected(removed) == articulation_analysis(
+            g, fixed | removed)[1], (g, fixed, pool, removed)
+
+
+@pytest.mark.parametrize("rho", [1, 2, 3, 4])
+def test_suppressed_graph_matches_direct_path_on_gadgets(rho):
+    pair = build_gadget(desk_params(rho, 16))
+    fixed = {pair.u, pair.v}
+    pool = [x for x in removable_set(pair) if x not in fixed]
+    small = _SuppressedGraph(pair.g, fixed, pool)
+    assert small.h.n < pair.g.n // 10
+    removals = [set(case) - fixed for case in _audit_cases(pair, 200, 2026)]
+    removals += [{x} for x in pool] + [set(pool) - {x} for x in pool]
+    for removed in removals:
+        assert small.biconnected(removed) == articulation_analysis(
+            pair.g, fixed | removed)[1], sorted(removed)
+    for outside in (pair.u, pair.roles["w"], pair.q):
+        with pytest.raises(ValueError, match="not in the pool"):
+            small.biconnected({pool[0], outside})
 
 
 # -- exchangeability -------------------------------------------------------------

@@ -131,6 +131,15 @@ def test_class_partition_examples():
     assert part3.class_count == 1
 
 
+def test_partition_by_rejects_bad_relations():
+    host = path_graph(3)
+    with pytest.raises(ValueError, match="unknown relation 'rotation'"):
+        partition_by("rotation", host)
+    for relation in ("permutation", "toric_permutation", "double_flip_permutation"):
+        with pytest.raises(ValueError, match="needs the block partition"):
+            partition_by(relation, host)
+
+
 def test_refinement_lattice_small_hosts():
     for x in families.multiplicity_graphs(3, 5):
         host, cl = complement_of_lift(x)

@@ -33,6 +33,13 @@ def test_gnp_extremes():
     assert sample_gnp(5, 1.0, 1) == complete_graph(5)
 
 
+@pytest.mark.parametrize("sampler", [sample_gnp, sample_bipartite])
+@pytest.mark.parametrize("p", [-0.1, 1.5])
+def test_samplers_reject_p_outside_unit_interval(sampler, p):
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+        sampler(4, p, 1)
+
+
 def test_gnp_determinism():
     assert sample_gnp(12, 0.4, 99) == sample_gnp(12, 0.4, 99)
     assert sample_gnp(12, 0.4, 99) != sample_gnp(12, 0.4, 100)
@@ -221,6 +228,13 @@ def test_config_validation():
         ExperimentConfig.from_json_dict(dict(
             model="gnp", n=4, p_grid=[1.5], trials=1, base_seed=0,
             statistic="isolated-vertex"))
+
+
+def test_config_rejects_unknown_model_and_statistic():
+    with pytest.raises(ValueError, match="unknown model 'er'"):
+        _cfg(model="er").validate()
+    with pytest.raises(ValueError, match="unknown statistic 'diameter'"):
+        _cfg(statistic="diameter").validate()
 
 
 def test_trial_seed_streams_distinct():
