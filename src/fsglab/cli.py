@@ -15,7 +15,9 @@ byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -88,15 +90,19 @@ def load_graph_arg(value: str):
         raise CliError(f"bad graph JSON in {value}: {e}") from e
 
 
-def _write_output(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_output(chunks, out_path) -> str:
+    """Write the primary output piece by piece; returns its sha256 hex
+    digest, so the text is never held whole."""
+    digest = hashlib.sha256()
+    with (open(out_path, "w", encoding="utf-8") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()
 
 
-def _write_manifest(args, seed, output_text: str, t0: float):
+def _write_manifest(args, seed, output_digest: str, t0: float):
     path = args.manifest
     if path is None:
         if not args.out:
@@ -111,8 +117,7 @@ def _write_manifest(args, seed, output_text: str, t0: float):
         "seed": seed,
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - t0, 6),
-        "output_digest": "sha256:"
-        + hashlib.sha256(output_text.encode("utf-8")).hexdigest(),
+        "output_digest": "sha256:" + output_digest,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -130,16 +135,17 @@ def _resolve_seed(args) -> int:
 
 # -- subcommands --------------------------------------------------------------
 #
-# Each returns (primary output text, seed for the manifest, exit code); main
-# writes the output and the manifest and maps exceptions to exit codes.
+# Each returns (primary output as a list or iterator of text pieces, seed for
+# the manifest, exit code); main writes the output and the manifest and maps
+# exceptions to exit codes.
 
 
 def cmd_components(args):
     x = load_graph_arg(args.x)
     y = load_graph_arg(args.y)
     report = build_components(x, y, budget=args.budget, variant=args.variant)
-    text = report.to_json(include_ids=args.dump_ids) + "\n"
-    return text, None, EXIT_OK
+    chunks = itertools.chain(report.json_chunks(include_ids=args.dump_ids), ["\n"])
+    return chunks, None, EXIT_OK
 
 
 def cmd_predict(args):
@@ -164,7 +170,7 @@ def cmd_predict(args):
         if predicted != oracle:
             print("disagreement between predictor and oracle", file=sys.stderr)
             code = EXIT_DISAGREE
-    return json.dumps(payload, sort_keys=True) + "\n", None, code
+    return [json.dumps(payload, sort_keys=True) + "\n"], None, code
 
 
 def cmd_verify(args):
@@ -188,7 +194,7 @@ def cmd_verify(args):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(v.to_json_dict(), fh, indent=2, sort_keys=True)
         print(f"counterexample written to {path}", file=sys.stderr)
-    return verdicts_to_jsonl(verdicts), None, EXIT_DISAGREE if bad else EXIT_OK
+    return [verdicts_to_jsonl(verdicts)], None, EXIT_DISAGREE if bad else EXIT_OK
 
 
 def cmd_sweep(args):
@@ -207,7 +213,7 @@ def cmd_sweep(args):
         cfg = ExperimentConfig.from_json_dict(raw)
     except ValueError as e:
         raise CliError(f"bad sweep config: {e}")
-    return run_sweep(cfg).to_csv(), cfg.base_seed, EXIT_OK
+    return [run_sweep(cfg).to_csv()], cfg.base_seed, EXIT_OK
 
 
 def cmd_gadget(args):
@@ -234,7 +240,7 @@ def cmd_gadget(args):
             code = EXIT_DISAGREE
     if args.dump:
         payload["dump"] = pair.to_json_dict()
-    return json.dumps(payload, sort_keys=True) + "\n", seed, code
+    return [json.dumps(payload, sort_keys=True) + "\n"], seed, code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,9 +307,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     try:
-        text, seed, code = args.func(args)
-        _write_output(text, args.out)
-        _write_manifest(args, seed, text, t0)
+        chunks, seed, code = args.func(args)
+        digest = _write_output(chunks, args.out)
+        _write_manifest(args, seed, digest, t0)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

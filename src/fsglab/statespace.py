@@ -30,14 +30,34 @@ moves from one arrangement reach the same neighbour, so every undirected
 link is produced exactly once, from one of its two ends.
 ``build_components`` unions forward neighbours only, so it sees each link
 once and its ``edge_count`` is the number of forward moves.
+
+It reads those moves from one of two link sources:
+
+* fs/fsm spaces with at most ``_TABLE_STATES`` = 7! arrangements use the
+  ``_StateTable`` of their label counts: an arrangement-to-rank index and,
+  per position pair, the rank pairs of every swap, keyed by the two labels.
+  The table depends only on the counts, so every space with them shares
+  one, relabelled inputs included, and a call builds no tuple and looks up
+  no arrangement: it unions the rank pairs of each X-edge and Y-edge.
+* Larger spaces, and fsmm, rank their arrangements in a dict of their own
+  and hash each forward neighbour into it.
+
+Either way the component ids are an ``array`` in enumeration order, read
+through the index, which no call writes.  Larger tables are not kept: a
+cached table outlives its report, and FS(K4,5, C9) would hold its whole
+index of 362,880 tuples (about 68 MB) for the life of the process.  At the
+bound a table holds 0.7 MB, or 1.2 MB with the swaps of all 21 position
+pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -99,10 +119,7 @@ class FSmSpace:
         return c
 
     def enumerate(self) -> Iterator[tuple[int, ...]]:
-        # the same lexicographic order, from C rather than Algorithm L in Python
-        if all(k == 1 for k in self.y.mult):
-            return itertools.permutations(range(self.x.n))
-        return _multiset_permutations(self.y.mult)
+        return _label_vectors(self.y.mult)
 
     def is_valid(self, a: Sequence[int]) -> bool:
         counts = [0] * self.y.base.n
@@ -225,6 +242,14 @@ def _matrix_swap(a, u, v, y1, y2):
     return tuple(b)
 
 
+def _label_vectors(mult: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The arrangements of an fs/fsm space with label counts ``mult``."""
+    # the same lexicographic order, from C rather than Algorithm L in Python
+    if all(k == 1 for k in mult):
+        return itertools.permutations(range(len(mult)))
+    return _multiset_permutations(mult)
+
+
 def _multiset_permutations(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All vectors using label i exactly counts[i] times, lexicographically.
 
@@ -279,24 +304,33 @@ class ComponentsReport:
     component_sizes: list[int]
     vertex_count: int
     edge_count: int
-    component_id: dict = field(repr=False)
+    # arrangement -> component id, in enumeration order
+    component_id: Mapping = field(repr=False)
 
     def component_of(self, a) -> int:
         return self.component_id[a]
 
-    def to_json(self, include_ids: bool = False) -> str:
-        """The report as JSON text with sorted keys.  ``include_ids`` adds
-        ``component_id``, each arrangement keyed by ``_arrangement_key``;
-        its members are written out without a dict of those keys."""
+    def json_chunks(self, include_ids: bool = False) -> Iterator[str]:
+        """The report as JSON text with sorted keys, in pieces.
+        ``include_ids`` adds ``component_id``, each arrangement keyed by
+        ``_arrangement_key``; its members come a few thousand to a piece,
+        so a caller that writes the pieces as they come never holds the
+        whole text."""
         text = json.dumps({
             "vertices": self.vertex_count,
             "edges": self.edge_count,
             "components": list(self.component_sizes),
         }, sort_keys=True)
         if not include_ids:
-            return text
+            yield text
+            return
         # "component_id" sorts before the other keys
-        return '{"component_id": {' + _id_members(self.component_id) + "}, " + text[1:]
+        yield '{"component_id": {'
+        yield from _id_members(self.component_id)
+        yield "}, " + text[1:]
+
+    def to_json(self, include_ids: bool = False) -> str:
+        return "".join(self.json_chunks(include_ids))
 
 
 def _arrangement_key(a) -> str:
@@ -305,29 +339,58 @@ def _arrangement_key(a) -> str:
     return ",".join(map(str, a))
 
 
-def _id_members(component_id: dict) -> str:
-    """The ``"key": id`` members of the ``component_id`` object in key order.
+def _keys_in_order(arrangements) -> bool:
+    """Whether the ``_arrangement_key`` strings of ``arrangements`` come in
+    sorted order.  Keys of one space have their separators in the same
+    places, so while every entry has one digit, key order is arrangement
+    order."""
+    prev = None
+    for a in arrangements:
+        entries = itertools.chain.from_iterable(a) \
+            if a and isinstance(a[0], tuple) else a
+        if max(entries, default=0) > 9 or (prev is not None and a < prev):
+            return False
+        prev = a
+    return True
 
-    While every entry has one digit, enumeration order is key order, and
-    the members are joined in chunks as they come; otherwise they are
-    sorted (a quote sorts before any key character, so members sort as
-    their keys do)."""
-    chunks: list[str] = []
-    members: list[str] = []
-    prev = ""
-    for a, i in component_id.items():
-        key = _arrangement_key(a)
-        if key < prev:
-            return ", ".join(sorted(
-                f'"{_arrangement_key(b)}": {j}' for b, j in component_id.items()))
-        prev = key
-        members.append(f'"{key}": {i}')
-        if len(members) == 4096:
-            chunks.append(", ".join(members))
-            members = []
-    if members:
-        chunks.append(", ".join(members))
-    return ", ".join(chunks)
+
+def _id_members(component_id: Mapping) -> Iterator[str]:
+    """The ``"key": id`` members of the ``component_id`` object in key
+    order, joined by ", " in pieces of 4,096 members.
+
+    When enumeration order is key order the members are formatted as they
+    come; otherwise they are sorted (a quote sorts before any key character,
+    so members sort as their keys do)."""
+    members = (f'"{_arrangement_key(a)}": {i}' for a, i in component_id.items())
+    if not _keys_in_order(component_id):
+        members = iter(sorted(members))
+    sep = ""
+    while piece := list(itertools.islice(members, 4096)):
+        yield sep + ", ".join(piece)
+        sep = ", "
+
+
+class _ComponentIds(Mapping):
+    """Arrangement -> component id, read as ``ids[index[a]]``.
+
+    ``index`` ranks the arrangements in enumeration order and may be shared
+    with other reports, so nothing writes to it; ``ids`` holds the component
+    ids in that order."""
+
+    __slots__ = ("index", "ids")
+
+    def __init__(self, index: dict, ids: array):
+        self.index = index
+        self.ids = ids
+
+    def __getitem__(self, a) -> int:
+        return self.ids[self.index[a]]
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 class _UnionFind:
@@ -355,6 +418,55 @@ class _UnionFind:
         return True
 
 
+# fs/fsm spaces with at most this many arrangements (7!) read their links
+# from the _StateTable of their label counts
+_TABLE_STATES = 5040
+
+
+class _StateTable:
+    """The arrangements with label counts ``mult`` and their swaps, shared
+    read-only by every fs/fsm space with those counts.
+
+    ``index`` maps each arrangement to its enumeration rank.  ``swaps(p, q)``
+    maps each label pair (s, t), s < t, to a flat array of rank pairs
+    (i, j): arrangement i holds s on position p and t on q, and j is i with
+    those two entries swapped.  For an X-edge (p, q), p < q, and a Y-edge
+    (s, t) these are the forward moves of ``FSmSpace.forward_neighbors``.
+    Nothing here depends on X or Y.
+    """
+
+    __slots__ = ("index", "_swaps")
+
+    def __init__(self, mult: tuple[int, ...]):
+        self.index = {a: i for i, a in enumerate(_label_vectors(mult))}
+        self._swaps: dict = {}
+
+    def swaps(self, p: int, q: int) -> dict:
+        by_labels = self._swaps.get((p, q))
+        if by_labels is None:
+            by_labels = self._swaps[p, q] = {}
+            index = self.index
+            for a, i in index.items():
+                s = a[p]
+                t = a[q]
+                if s < t:
+                    b = list(a)
+                    b[p] = t
+                    b[q] = s
+                    pairs = by_labels.get((s, t))
+                    if pairs is None:
+                        pairs = by_labels[s, t] = array("i")
+                    pairs.append(i)
+                    pairs.append(index[tuple(b)])
+        return by_labels
+
+
+# one table per label-count vector, for as many vectors as a run cycles
+# through: a repetition of the benchmark's oracle-many or predict workload
+# uses 42 or 63
+_state_table = functools.lru_cache(maxsize=128)(_StateTable)
+
+
 def build_components(
     x, y, budget: Optional[int] = None, variant: str = "fs"
 ) -> ComponentsReport:
@@ -369,33 +481,62 @@ def build_components(
     total = space.count()
     if budget is not None and total > budget:
         raise BudgetExceededError(total, budget)
-    # one arrangement-keyed table: enumeration index first, component id after
-    index = {a: i for i, a in enumerate(space.enumerate())}
-    forward = space.forward_neighbors
-    parent = _UnionFind(total).parent
+    if isinstance(space, FSmSpace) and total <= _TABLE_STATES:
+        table = _state_table(space.y.mult)
+        index = table.index
+    else:
+        table = None
+        index = {a: i for i, a in enumerate(space.enumerate())}
+    # union-find over enumeration ranks, allocated after the index so that it
+    # does not add to the index's peak; the smaller root wins, so every root
+    # is its component's first arrangement and parent[i] <= i
+    parent = array("l", range(total))
     links = 0
-    for i, a in enumerate(index):
-        nbrs = forward(a)
-        if not nbrs:
-            continue
-        links += len(nbrs)
-        # _UnionFind.union(i, index[b]) inlined, with the root of i kept
-        ra = i
-        while parent[ra] != ra:
-            parent[ra] = ra = parent[parent[ra]]
-        for b in nbrs:
-            rb = index[b]
-            while parent[rb] != rb:
-                parent[rb] = rb = parent[parent[rb]]
-            if ra < rb:
-                parent[rb] = ra
-            elif rb < ra:
-                parent[ra] = rb
-                ra = rb
-    # every root is its component's first arrangement and parent[i] <= i, so
+    if table is not None:
+        # rank pairs from the shared table, per X-edge and Y-edge
+        label_edges = space.y.base.edge_list
+        for p, q in space.x.edge_list:
+            swaps = table.swaps(p, q)
+            for st in label_edges:
+                pairs = swaps.get(st)
+                if pairs is None:
+                    continue
+                links += len(pairs) >> 1
+                it = iter(pairs)
+                for i, j in zip(it, it):
+                    # _UnionFind.union(i, j) inlined
+                    while parent[i] != i:
+                        parent[i] = i = parent[parent[i]]
+                    while parent[j] != j:
+                        parent[j] = j = parent[parent[j]]
+                    if i < j:
+                        parent[j] = i
+                    elif j < i:
+                        parent[i] = j
+    else:
+        # forward neighbours of each arrangement, ranked by this call's index
+        forward = space.forward_neighbors
+        for i, a in enumerate(index):
+            nbrs = forward(a)
+            if not nbrs:
+                continue
+            links += len(nbrs)
+            # _UnionFind.union(i, index[b]) inlined, with the root of i kept
+            ra = i
+            while parent[ra] != ra:
+                parent[ra] = ra = parent[parent[ra]]
+            for b in nbrs:
+                rb = index[b]
+                while parent[rb] != rb:
+                    parent[rb] = rb = parent[parent[rb]]
+                if ra < rb:
+                    parent[rb] = ra
+                elif rb < ra:
+                    parent[ra] = rb
+                    ra = rb
     # one pass in enumeration order overwrites each entry with its id
     sizes: list[int] = []
-    for i, a in enumerate(index):
+    for i in range(total):
         p = parent[i]
         if p == i:
             cid = len(sizes)
@@ -404,13 +545,12 @@ def build_components(
             cid = parent[p]
             sizes[cid] += 1
         parent[i] = cid
-        index[a] = cid
     return ComponentsReport(
         component_count=len(sizes),
         component_sizes=sizes,
         vertex_count=total,
         edge_count=links,
-        component_id=index,
+        component_id=_ComponentIds(index, parent),
     )
 
 

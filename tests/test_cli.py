@@ -69,6 +69,17 @@ def test_components_dump_ids_golden_digest(workdir, capsys, variant, x, y, diges
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_components_dump_ids_streams_to_out_and_manifest(workdir):
+    # FS(P7, C7) has 5,040 members, written in two pieces
+    assert main(["components", "--x", "path:7", "--y", "cycle:7",
+                 "--dump-ids", "--out", "ids.json"]) == 0
+    digest = hashlib.sha256(open("ids.json", "rb").read()).hexdigest()
+    assert digest == \
+        "26fef189efa411708060acc792e466e821ed636a0166ff8ea2d2bf53e662e47c"
+    manifest = json.load(open("ids.json.manifest.json"))
+    assert manifest["output_digest"] == "sha256:" + digest
+
+
 def test_components_bad_json(workdir):
     with open("bad.json", "w") as fh:
         fh.write("{nope")
@@ -116,6 +127,18 @@ def test_predict_check_every_theorem(workdir, capsys, theorem, x, expected):
     payload = {"theorem": theorem, "predicted": expected, "oracle": expected,
                "agree": True}
     assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def test_predict_check_disagreement_exits_4(workdir, capsys, monkeypatch):
+    theorem = predictors.THEOREMS["path-count"]
+    monkeypatch.setitem(predictors.THEOREMS, "path-count",
+                        dataclasses.replace(theorem, predict=lambda x: 0))
+    assert main(["predict", "--theorem", "path-count", "--x", "edge12.json",
+                 "--check"]) == 4
+    out = capsys.readouterr()
+    assert out.err == "disagreement between predictor and oracle\n"
+    assert json.loads(out.out) == {"theorem": "path-count", "predicted": 0,
+                                   "oracle": 1, "agree": False}
 
 
 def test_predict_unknown_theorem(workdir):

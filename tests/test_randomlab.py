@@ -8,8 +8,10 @@ from fsglab.graphs import (
     SimpleGraph,
     complete_bipartite_graph,
     complete_graph,
+    cycle_graph,
     edgeless_graph,
     is_valid_bipartition,
+    path_graph,
 )
 from fsglab.randomlab import (
     ExperimentConfig,
@@ -111,6 +113,22 @@ def test_balance_k33_pathological_arrangement():
     swaps = balance_arrangement(k33, k33, sigma, forbidden=(2, 5),
                                 sides_x=sides, sides_y=sides)
     assert len(swaps) == 1
+
+
+def test_balance_infers_the_bipartitions():
+    k33 = complete_bipartite_graph(3, 3)
+    sides = (list(range(3)), list(range(3, 6)))
+    for sigma, forbidden in (((0, 1, 2, 3, 4, 5), (2, 5)),
+                             ((3, 4, 5, 0, 1, 2), (0, 3)),
+                             ((0, 1, 3, 2, 4, 5), (0, 3))):
+        assert balance_arrangement(k33, k33, sigma, forbidden) == \
+            balance_arrangement(k33, k33, sigma, forbidden,
+                                sides_x=sides, sides_y=sides)
+    c5 = cycle_graph(5)
+    with pytest.raises(ValueError, match="^x must be bipartite$"):
+        balance_arrangement(c5, path_graph(5), range(5), (0, 1))
+    with pytest.raises(ValueError, match="^y must be bipartite$"):
+        balance_arrangement(path_graph(5), c5, range(5), (0, 1))
 
 
 def test_balance_already_balanced():

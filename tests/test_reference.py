@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from fsglab import families
+from fsglab import families, statespace
 from fsglab.graphs import (
     MultiplicityGraph,
     SimpleGraph,
     articulation_analysis,
     as_multiplicity,
+    complete_graph,
+    cycle_graph,
     edgeless_graph,
     is_wilsonian,
+    path_graph,
 )
 from fsglab.orientations import RELATIONS, complement_of_lift, enumerate_acyc, partition_by
 from fsglab.randomlab import PackingBudgetError, find_packing, sample_gnp, trial_seed
@@ -63,6 +66,65 @@ def test_build_components_matches_reference(inst):
     variant, x, y = inst
     _assert_same_report(build_components(x, y, variant=variant),
                         reference.build_components(x, y, variant=variant))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_tuple_kernel_matches_reference(inst):
+    # with no shared tables every fs/fsm space takes the tuple kernel
+    variant, x, y = inst
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statespace, "_TABLE_STATES", 0)
+        live = build_components(x, y, variant=variant)
+    assert not isinstance(live.component_id, dict)
+    assert live.component_id.index is not statespace._state_table(
+        as_multiplicity(y).mult).index
+    _assert_same_report(live, reference.build_components(x, y, variant=variant))
+
+
+@pytest.mark.parametrize("x, y, variant, total, shared", [
+    (path_graph(7), cycle_graph(7), "fs", 5040, True),
+    (cycle_graph(8), MultiplicityGraph(path_graph(7), (2, 1, 1, 1, 1, 1, 1)),
+     "fsm", 20160, False),
+])
+def test_build_components_at_the_table_bound(x, y, variant, total, shared):
+    live = build_components(x, y, variant=variant)
+    assert live.vertex_count == total
+    table = statespace._state_table(as_multiplicity(y).mult)
+    assert (live.component_id.index is table.index) == shared
+    _assert_same_report(live, reference.build_components(x, y, variant=variant))
+
+
+def test_reports_sharing_a_table_keep_their_own_ids():
+    y = MultiplicityGraph(path_graph(4), (2, 1, 1, 1))
+    table = statespace._state_table(y.mult)
+    before = list(table.index.items())
+    xs = (path_graph(5), cycle_graph(5), complete_graph(5))
+    reports = [build_components(x, y, variant="fsm") for x in xs]
+    assert all(r.component_id.index is table.index for r in reports)
+    assert len({r.component_count for r in reports}) == len(xs)
+    for x, r in zip(xs, reports):
+        _assert_same_report(r, reference.build_components(x, y, variant="fsm"))
+    assert list(table.index.items()) == before
+
+
+def test_state_table_swaps_are_the_forward_moves():
+    # swaps(p, q) lists each forward move across p < q once, keyed by the
+    # labels (s, t), s < t, that it moves
+    mult = (2, 1, 2)
+    n = sum(mult)
+    table = statespace._state_table(mult)
+    index = table.index
+    labels = MultiplicityGraph(complete_graph(len(mult)), mult)
+    for p, q in complete_graph(n).edge_list:
+        space = FSmSpace(SimpleGraph(n, [(p, q)]), labels)
+        expected: dict = {}
+        for a, i in index.items():
+            for b in space.forward_neighbors(a):
+                expected.setdefault((a[p], a[q]), []).append((i, index[b]))
+        swaps = table.swaps(p, q)
+        assert {st: list(zip(pairs[::2], pairs[1::2]))
+                for st, pairs in swaps.items()} == expected
 
 
 @settings(max_examples=60, deadline=None)
