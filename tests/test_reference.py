@@ -76,7 +76,6 @@ def test_tuple_kernel_matches_reference(inst):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statespace, "_TABLE_STATES", 0)
         live = build_components(x, y, variant=variant)
-    assert not isinstance(live.component_id, dict)
     assert live.component_id.index is not statespace._state_table(
         as_multiplicity(y).mult).index
     _assert_same_report(live, reference.build_components(x, y, variant=variant))
