@@ -51,6 +51,7 @@ from .orientations import (
     period_of_arrangement,
     period_of_orientation,
     period_profile,
+    permutation_class_count,
     predict_cycle_components,
     predict_path_components,
 )

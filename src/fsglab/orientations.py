@@ -7,6 +7,12 @@ is the order of ``Orientation.dirs`` tuples.  Flips, double flips and block
 transpositions are bit operations on per-host tables (``_EdgeMasks``).
 Acyc(host) comes from a recursion over vertex subsets that places one vertex
 first at a time.  ``Orientation`` objects are built only when asked for.
+
+The path predictor enumerates no orientation: ``permutation_class_count``
+counts the relabeling orbits by Burnside's lemma.  The cycle predictor
+closes toric classes under flips and glues them along block transpositions
+(``_glue``) into ``toric_permutation`` classes, and ``period_of_orientation``
+tries only the divisors that the block sizes allow.
 """
 
 from __future__ import annotations
@@ -295,6 +301,9 @@ def partition_by(relation: str, host: SimpleGraph,
                 perm[a], perm[b] = b, a
                 swaps.append(t.permutation(perm))
     permute = t.permute
+    # toric_permutation glues toric classes after the closure (see _glue)
+    glue = relation == "toric_permutation"
+    closing_swaps = [] if glue else swaps
 
     def moves(o: int) -> list[int]:
         out = []
@@ -308,7 +317,7 @@ def partition_by(relation: str, host: SimpleGraph,
                 if o & inc[u] == low[u]:
                     out.extend(o ^ inc[u] ^ inc[v] for v in sinks
                                if v != u and not adjacent[u] >> v & 1)
-        for table in swaps:
+        for table in closing_swaps:
             out.append(permute(o, table))
         return out
 
@@ -329,7 +338,40 @@ def partition_by(relation: str, host: SimpleGraph,
                     stack.append(nxt)
         members.sort()
         classes.append(members)
+    if glue:
+        classes = _glue(classes, class_of, swaps, permute)
     return ClassPartition(relation, host, classes)
+
+
+def _glue(classes: list[list[int]], class_of: dict[int, int], swaps: list,
+          permute) -> list[list[int]]:
+    """Unions of toric classes linked by block transpositions.
+
+    The vertices of a block are twins of the host, so a block transposition
+    is a host automorphism: it maps sources to sources and sinks to sinks,
+    and so maps each toric class onto a whole toric class.  One transposed
+    member per class and generator therefore links every pair of classes
+    that the closure under flips and transpositions would merge.  Glued
+    classes come out in order of their smallest member, as the closure
+    numbers them.
+    """
+    parent = list(range(len(classes)))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for cid, members in enumerate(classes):
+        for table in swaps:
+            a, b = find(cid), find(class_of[permute(members[0], table)])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    glued: dict[int, list[int]] = {}
+    for cid, members in enumerate(classes):
+        glued.setdefault(find(cid), []).extend(members)
+    return [sorted(members) for members in glued.values()]
 
 
 # -- linear extensions and periods ----------------------------------------------
@@ -384,18 +426,32 @@ def period_of_arrangement(a: Sequence[int], cliques: CliquePartition) -> int:
 
 
 def period_of_orientation(o: Orientation, cliques: CliquePartition) -> int:
-    """Minimum arrangement period over all linear extensions."""
+    """Minimum arrangement period over all linear extensions.
+
+    A d-periodic block projection of n positions repeats its first d
+    entries n/d times, so n/d divides the size of every block.  Only those
+    feasible divisors are tried; when n is the only one, no extension is
+    walked.
+    """
     n = o.host.n
     if n == 0:
         return 1
-    divisors = _divisors(n)
+    feasible = [d for d in _divisors(n)
+                if all(len(b) % (n // d) == 0 for b in cliques.blocks)]
     best = n
+    if len(feasible) == 1:
+        return best
+    block_of = cliques.block_of
     for ext in iter_linear_extensions(o):
-        p = period_of_arrangement(ext, cliques)
-        if p < best:
-            best = p
-            if best == divisors[0]:
+        proj = [block_of[v] for v in ext]
+        for d in feasible:
+            if d >= best:
                 break
+            if proj[d:] + proj[:d] == proj:
+                best = d
+                break
+        if best == feasible[0]:
+            break
     return best
 
 
@@ -434,14 +490,70 @@ def complement_of_lift(x: MultiplicityGraph) -> tuple[SimpleGraph, CliquePartiti
     return complement(lifted), cliques
 
 
+def permutation_class_count(host: SimpleGraph, cliques: CliquePartition) -> int:
+    """Number of ``permutation`` classes of Acyc(host), counted by Burnside's
+    lemma without enumerating an orientation.
+
+    The blocks must be twin classes of the host (independent sets whose
+    vertices share one neighbourhood), as in a lift complement; the group
+    is then every product of within-block permutations, and Burnside counts
+    its orbits as the mean number of orientations a group element fixes.
+
+    An element g with c_B cycles on block B fixes exactly the acyclic
+    orientations that direct every edge between two of its cycles the same
+    way.  Between two cycles joined by an edge, g maps edges onto edges; if
+    both directions occurred, every vertex of both cycles would have in-
+    and out-edges between them, and a finite digraph whose every vertex has
+    an out-edge has a directed cycle.  The fixed orientations are thus the
+    acyclic orientations of the quotient by g's cycles, which is the host
+    restricted to the first c_B vertices of each block.  With s the unsigned
+    Stirling numbers of the first kind and m_B the block sizes,
+
+        orbits(m) = sum over c of prod_B s(m_B, c_B) * a(c) / prod_B m_B!
+
+    where a(c) counts the acyclic orientations of that restriction.  Its
+    source recursion a(S) = sum over nonempty independent I in S of
+    (-1)^(|I|+1) a(S - I) says that sum over c of a(c) x^c / c! is
+    1 / sum over independent block sets T of prod_(B in T) (e^(-x_B) - 1),
+    and sum over m of s(m, c) y^m / m! = (-log(1 - y))^c / c!.  Substituting
+    x_B = -log(1 - y_B) collapses the Burnside sum to
+
+        orbits(m) = [y^m] 1 / sum over independent block sets T of (-y)^T,
+
+    the Cartier-Foata count of heaps, whose coefficients satisfy
+    N(c) = sum over nonempty independent T within the support of c of
+    (-1)^(|T|+1) N(c - 1_T), with N(0) = 1.
+    """
+    blocks = cliques.blocks
+    k = len(blocks)
+    joined = [sum(1 << b for b in range(k) if host.has_edge(blocks[a][0], blocks[b][0]))
+              for a in range(k)]
+    # count vectors as mixed-radix ints: block b's digit has weight stride[b]
+    stride, size = [], 1
+    for block in blocks:
+        stride.append(size)
+        size *= len(block) + 1
+    steps = []  # (T, 1_T as a mixed-radix int, (-1)^(|T|+1))
+    for t in range(1, 1 << k):
+        part = [b for b in range(k) if t >> b & 1]
+        if not any(joined[b] & t for b in part):
+            steps.append((t, sum(stride[b] for b in part), 1 if len(part) % 2 else -1))
+    count = [1] + [0] * (size - 1)
+    for c in range(1, size):
+        support = sum(1 << b for b in range(k) if c // stride[b] % (len(blocks[b]) + 1))
+        count[c] = sum(sign * count[c - step] for t, step, sign in steps
+                       if t & support == t)
+    return count[-1]
+
+
 def predict_path_components(x: MultiplicityGraph,
                             n: Optional[int] = None) -> int:
     """Component count of the path-position swap space over x: the number of
-    relabeling orbits of acyclic orientations of the lift complement."""
+    relabeling orbits of acyclic orientations of the lift complement,
+    counted by ``permutation_class_count``."""
     if n is not None and n != x.total:
         raise ValueError("n must equal the total multiplicity")
-    host, cliques = complement_of_lift(x)
-    return partition_by("permutation", host, cliques).class_count
+    return permutation_class_count(*complement_of_lift(x))
 
 
 def predict_cycle_components(x: MultiplicityGraph,

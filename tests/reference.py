@@ -7,6 +7,8 @@
 * The orientation layer (``Orientation``, ``enumerate_acyc``,
   ``partition_by`` and the moves it closes under) and the packing search
   ``find_packing``, before their kernels change.
+* ``period_of_orientation`` as a walk over every linear extension that
+  tries every divisor of n, before it tried only feasible divisors.
 * ``graph_classes`` as a scan of every labelled graph (``all_graphs``)
   through ``canonical_key``, first labelling seen wins, before classes
   were grown by vertex augmentation.
@@ -615,6 +617,68 @@ def partition_by(relation: str, host: SimpleGraph,
         members.sort(key=lambda e: e.dirs)
         classes.append(members)
     return ClassPartition(relation, classes, class_of)
+
+
+# -- periods --------------------------------------------------------------------
+
+
+def iter_linear_extensions(o: Orientation) -> Iterator[tuple[int, ...]]:
+    n = o.host.n
+    indeg = [0] * n
+    for v in range(n):
+        for w in o.out_neighbors(v):
+            indeg[w] += 1
+    order: list[int] = []
+    used = [False] * n
+
+    def rec():
+        if len(order) == n:
+            yield tuple(order)
+            return
+        for v in range(n):
+            if not used[v] and indeg[v] == 0:
+                used[v] = True
+                for w in o.out_neighbors(v):
+                    indeg[w] -= 1
+                order.append(v)
+                yield from rec()
+                order.pop()
+                for w in o.out_neighbors(v):
+                    indeg[w] += 1
+                used[v] = False
+
+    yield from rec()
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def period_of_arrangement(a: Sequence[int], cliques: CliquePartition) -> int:
+    """Least positive rotation power after which the arrangement is
+    blockwise equal to itself.  Always divides the length."""
+    n = len(a)
+    block_of = cliques.block_of
+    proj = [block_of[v] for v in a]
+    for d in _divisors(n):
+        if all(proj[i] == proj[(i + d) % n] for i in range(n)):
+            return d
+
+
+def period_of_orientation(o: Orientation, cliques: CliquePartition) -> int:
+    """Minimum arrangement period over all linear extensions."""
+    n = o.host.n
+    if n == 0:
+        return 1
+    divisors = _divisors(n)
+    best = n
+    for ext in iter_linear_extensions(o):
+        p = period_of_arrangement(ext, cliques)
+        if p < best:
+            best = p
+            if best == divisors[0]:
+                break
+    return best
 
 
 # -- packing search -----------------------------------------------------------

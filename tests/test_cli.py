@@ -158,6 +158,30 @@ def test_verify_spec_file(workdir, capsys):
     assert main(["verify", "fam.json", "--out", "v.jsonl"]) == 0
 
 
+@pytest.mark.parametrize("family, verdicts, digest", [
+    ("thm51-small", 281,
+     "f664fed5d24010ae5cbd362418964e711f0d6d5c84343f72d348555292bc8d0b"),
+    ("thm55-small", 277,
+     "c2ccf5cefa797e0b3478c8776c28c476b0309ef3c5f329d580ccf3dfeac46427"),
+    ("cor511-small", 277,
+     "fc054022a13120b81874f7c5bdde0a9b6a2fa06d607820f43da82ef19acd5870"),
+    ({"family": "thm51-small", "total_max": 8}, 1058,
+     "a2118acdc259aab54a62df295d6e941eb13d755b55754c4113cd04c49b47a151"),
+    ({"family": "thm55-small", "total_max": 7}, 570,
+     "35f82c7f7b89310e9644d08fdcbb08342f7655733af981f8928cbd474fbcdca5"),
+], ids=["thm51-small", "thm55-small", "cor511-small", "thm51-total8", "thm55-total7"])
+def test_verify_stdout_golden_digest(workdir, capsys, family, verdicts, digest):
+    if isinstance(family, dict):
+        with open("fam.json", "w") as fh:
+            json.dump(family, fh)
+        family = "fam.json"
+    assert main(["verify", family]) == 0
+    out = capsys.readouterr().out
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == verdicts and all(r["agree"] for r in rows)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_verify_missing_spec(workdir):
     assert main(["verify", "nonexistent.json"]) == 2
 

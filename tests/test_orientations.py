@@ -31,6 +31,7 @@ from fsglab.orientations import (
     period_of_arrangement,
     period_of_orientation,
     period_profile,
+    permutation_class_count,
     predict_cycle_components,
     predict_path_components,
 )
@@ -286,6 +287,63 @@ def test_predict_path_components_examples():
     assert predict_path_components(MultiplicityGraph(path_graph(3), (1, 1, 1))) == 2
     one = MultiplicityGraph(SimpleGraph(1, []), (3,))
     assert predict_path_components(one) == 1
+
+
+def test_permutation_class_count_matches_the_closure():
+    xs = families.multiplicity_graphs(4, 7)
+    assert len(xs) == 574
+    for x in xs:
+        host, cliques = complement_of_lift(x)
+        assert permutation_class_count(host, cliques) == \
+            partition_by("permutation", host, cliques).class_count, x
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_permutation_class_count_with_unit_multiplicities_is_acyc(n):
+    for g in families.graph_classes(n):
+        host, cliques = complement_of_lift(MultiplicityGraph(g, (1,) * n))
+        assert permutation_class_count(host, cliques) == len(enumerate_acyc(host)), g
+
+
+def _stirling(m, c):
+    """Unsigned Stirling number of the first kind: permutations of m points
+    with c cycles."""
+    if m == 0 or c == 0:
+        return int(m == c)
+    return _stirling(m - 1, c - 1) + (m - 1) * _stirling(m - 1, c)
+
+
+def _burnside_sum(host, cliques):
+    """sum over c of prod_B s(m_B, c_B) a(S_c) / prod_B m_B!, term by term,
+    with a(S) from the source recursion over every vertex subset S and S_c
+    the first c_B vertices of each block."""
+    n = host.n
+    adjacent = [sum(1 << w for w in host.neighbors(v)) for v in range(n)]
+    acyc = [1] + [0] * ((1 << n) - 1)
+    for s in range(1, 1 << n):
+        i = s
+        while i:
+            verts = [v for v in range(n) if i >> v & 1]
+            if not any(adjacent[v] & i for v in verts):
+                acyc[s] += (1 if len(verts) % 2 else -1) * acyc[s ^ i]
+            i = (i - 1) & s
+    sizes = [len(block) for block in cliques.blocks]
+    fixed = 0
+    for c in itertools.product(*(range(1, m + 1) for m in sizes)):
+        term = acyc[sum(1 << v for block, k in zip(cliques.blocks, c)
+                        for v in block[:k])]
+        for m, k in zip(sizes, c):
+            term *= _stirling(m, k)
+        fixed += term
+    order = math.prod(math.factorial(m) for m in sizes)
+    assert fixed % order == 0
+    return fixed // order
+
+
+def test_permutation_class_count_is_the_burnside_sum():
+    for x in families.multiplicity_graphs(4, 6):
+        host, cliques = complement_of_lift(x)
+        assert permutation_class_count(host, cliques) == _burnside_sum(host, cliques), x
 
 
 def test_predict_cycle_components_examples():

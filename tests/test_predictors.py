@@ -1,9 +1,11 @@
 """Connectivity predictors and the verification harness."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsglab.graphs import (
     MultiplicityGraph,
@@ -165,6 +167,30 @@ def test_probe_vacuous_without_bridges():
     star = star_mults(2, (1, 1))
     v = double_multiplicity_bridge_probe(x, star)
     assert v.predicted is True
+
+
+# -- path and cycle counts past the bundled families -------------------------------
+
+
+@st.composite
+def labels_past_bundled(draw):
+    """Multiplicity graphs on 5 to 7 base vertices with total at most 7; the
+    bundled families stop at 4 base vertices and total 6."""
+    n = draw(st.integers(5, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    mult = [1] * n
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=7 - n)):
+        mult[v] += 1
+    return MultiplicityGraph(SimpleGraph(n, [e for e, k in zip(pairs, keep) if k]), mult)
+
+
+@pytest.mark.parametrize("theorem", ["path-count", "cycle-count"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(x=labels_past_bundled())
+def test_count_predictors_match_oracle_past_bundled_families(theorem, x):
+    t = predictors.THEOREMS[theorem]
+    assert t.predict(x) == t.oracle(x)
 
 
 # -- harness -----------------------------------------------------------------------------

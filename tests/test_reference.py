@@ -19,7 +19,14 @@ from fsglab.graphs import (
     is_wilsonian,
     path_graph,
 )
-from fsglab.orientations import RELATIONS, complement_of_lift, enumerate_acyc, partition_by
+from fsglab.orientations import (
+    RELATIONS,
+    complement_of_lift,
+    enumerate_acyc,
+    partition_by,
+    period_of_orientation,
+    permutation_class_count,
+)
 from fsglab.randomlab import PackingBudgetError, find_packing, sample_gnp, trial_seed
 from fsglab.statespace import FSmSpace, _multiset_permutations, build_components, space_for
 
@@ -310,6 +317,29 @@ def test_partition_by_matches_reference_at_predict_scale(relation):
             [o.dirs for o in c] for c in ref.classes
         ], x
         assert live.class_of == ref.class_of, x
+
+
+def test_permutation_class_count_matches_reference_at_predict_scale():
+    for x in TOTAL7:
+        host, cliques = complement_of_lift(x)
+        assert permutation_class_count(host, cliques) == \
+            reference.partition_by("permutation", host, cliques).class_count, x
+
+
+def test_period_of_orientation_matches_full_walk():
+    # every orientation of every component of the multiplicity_graphs(5, 6)
+    # lift complements, against the walk over every extension and divisor
+    seen = 0
+    for x in families.multiplicity_graphs(5, 6):
+        host, cliques = complement_of_lift(x)
+        for comp in host.connected_components():
+            sub, _ = host.subgraph(comp)
+            sub_cliques = cliques.restricted(comp)
+            for o in enumerate_acyc(sub):
+                assert period_of_orientation(o, sub_cliques) == \
+                    reference.period_of_orientation(o, sub_cliques), (x, comp, o)
+                seen += 1
+    assert seen == 43_306
 
 
 # -- packing search -------------------------------------------------------------
