@@ -274,6 +274,9 @@ def partition_by(relation: str, host: SimpleGraph,
     flips of a source or sink (``toric``), double flips of a source and a
     non-adjacent sink (``double_flip``), and transpositions of consecutive
     vertices of a block (``permutation``), all on direction masks.
+    ``toric_permutation`` closes under flips only and then glues the toric
+    classes along the transpositions (``_glue``), which gives the same
+    classes as the full closure.
 
     Classes are numbered by their smallest member under the fixed
     orientation ordering, so numbering is deterministic.
@@ -301,7 +304,6 @@ def partition_by(relation: str, host: SimpleGraph,
                 perm[a], perm[b] = b, a
                 swaps.append(t.permutation(perm))
     permute = t.permute
-    # toric_permutation glues toric classes after the closure (see _glue)
     glue = relation == "toric_permutation"
     closing_swaps = [] if glue else swaps
 
