@@ -131,13 +131,10 @@ def graph_classes(n: int, connected: bool = False) -> list[SimpleGraph]:
     return list(_graph_classes_cached(n, connected))
 
 
-def mult_lists(n_vertices: int, total_max: int,
-               total_min: int | None = None) -> list[tuple[int, ...]]:
+def mult_lists(n_vertices: int, total_max: int) -> list[tuple[int, ...]]:
     """All positive multiplicity lists of the given length with bounded total."""
-    if total_min is None:
-        total_min = n_vertices
     out = []
-    for total in range(max(total_min, n_vertices), total_max + 1):
+    for total in range(n_vertices, total_max + 1):
         out.extend(_compositions(total, n_vertices))
     return out
 

@@ -42,7 +42,6 @@ from .graphs import (
     is_theta0,
     is_valid_bipartition,
 )
-from .statespace import reachable, space_for
 
 
 class InfeasibleParamsError(ValueError):
@@ -544,35 +543,19 @@ def validate_gadget(pair: GadgetPair, p3_samples: int = 200,
 def _short_cycles(pair: GadgetPair, bound: int) -> list[int]:
     """Lengths of all cycles shorter than ``bound`` in G restricted to [m].
 
-    Works on the compressed multigraph whose nodes are the structurally
-    interesting cycle vertices (shortcut feet, chord endpoints) plus the
-    off-cycle hangers; cycle arcs between consecutive interesting vertices
-    become weighted edges.
+    Works on the compressed multigraph whose nodes are the cycle vertices
+    that a shortcut touches plus the off-cycle hangers; a shortcut is any
+    edge of G - {u, v} that is not a cycle edge, and the cycle arcs between
+    consecutive shortcut ends become weighted edges.
     """
     length = pair.cycle_length
-    interesting = set()
-    shortcut_edges = []
-    # y hangers
-    ell = pair.params.ell
-    for j in range(ell):
-        yid = pair.roles[f"y{j + 1}"]
-        f1, f2 = pair.ladder_feet[2 * j], pair.ladder_feet[2 * j + 1]
-        interesting.update((f1, f2))
-        shortcut_edges.append((yid, f1))
-        shortcut_edges.append((yid, f2))
-    # z~ hangers
-    for i in range(len(pair.tilde_feet) // 2):
-        zid = pair.roles[f"zt_{i + 1}_1"]
-        f1, f2 = pair.tilde_feet[2 * i], pair.tilde_feet[2 * i + 1]
-        interesting.update((f1, f2))
-        shortcut_edges.append((zid, f1))
-        shortcut_edges.append((zid, f2))
-    # q chord and interval chords
-    interesting.update((pair.roles["s1"], pair.q))
-    shortcut_edges.append((pair.roles["s1"], pair.q))
-    for src, tgt in pair.chords:
-        interesting.update((src, tgt))
-        shortcut_edges.append((src, tgt))
+    uv = (pair.u, pair.v)
+    shortcut_edges = [
+        (a, b) for a, b in pair.g.edge_list
+        if a not in uv and b not in uv
+        and not (b < length and (b - a == 1 or b - a == length - 1))
+    ]
+    interesting = {p for e in shortcut_edges for p in e if p < length}
 
     nodes = sorted(interesting)
     node_id = {p: i for i, p in enumerate(nodes)}
@@ -811,43 +794,6 @@ def _neither_cycle_nor_theta0(g: SimpleGraph, removed: set) -> bool:
         sub, _ = g.subgraph(set(range(g.n)) - removed)
         return not is_theta0(sub)
     return True
-
-
-# ---- exchangeability BFS ------------------------------------------------------
-
-
-@dataclass
-class ExchangeabilityResult:
-    answer: Optional[bool]
-    state_space: int
-    explored: int
-
-
-def check_gadget_exchangeability(pair_or_graphs, budget: int = 2_000_000,
-                                 u: Optional[int] = None,
-                                 v: Optional[int] = None) -> ExchangeabilityResult:
-    """Decide by BFS whether the u, v labels can be exchanged from the
-    identity arrangement; declines (answer None) when the state space cannot
-    fit the budget."""
-    if isinstance(pair_or_graphs, GadgetPair):
-        g, h = pair_or_graphs.g, pair_or_graphs.h
-        u, v = pair_or_graphs.u, pair_or_graphs.v
-    else:
-        g, h = pair_or_graphs
-        if u is None or v is None:
-            raise ValueError("need u and v for a raw graph pair")
-    n = g.n
-    size = math.factorial(n)
-    if size > budget:
-        return ExchangeabilityResult(answer=None, state_space=size, explored=0)
-    ident = tuple(range(n))
-    target = tuple(u if t == v else v if t == u else t for t in ident)
-    explored = 1
-    for s in reachable(space_for(g, h, "fs"), ident):
-        if s == target:
-            return ExchangeabilityResult(True, size, explored)
-        explored += 1
-    return ExchangeabilityResult(False, size, explored)
 
 
 # ---- respecting embeddings -----------------------------------------------------

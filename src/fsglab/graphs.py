@@ -16,6 +16,7 @@ too.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -607,6 +608,34 @@ def cyclic_order_count(leaf_mults: Sequence[int]) -> Fraction:
     for c in mults:
         den *= math.factorial(c)
     return Fraction(num, den)
+
+
+# -- disjoint sets -----------------------------------------------------------
+
+
+class _UnionFind:
+    """Disjoint sets over 0..n-1 with path halving; the smaller root wins."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = array("l", range(n))
+
+    def find(self, v: int) -> int:
+        p = self.parent
+        while p[v] != v:
+            p[v] = v = p[p[v]]
+        return v
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if ra < rb:
+            self.parent[rb] = ra
+        else:
+            self.parent[ra] = rb
+        return True
 
 
 # -- constructors ------------------------------------------------------------

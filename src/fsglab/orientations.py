@@ -8,21 +8,28 @@ transpositions are bit operations on per-host tables (``_EdgeMasks``).
 Acyc(host) comes from a recursion over vertex subsets that places one vertex
 first at a time.  ``Orientation`` objects are built only when asked for.
 
+One path answers each question.  ``partition_by`` closes the base relation
+(flips, double flips, or nothing for ``permutation``), and ``_glue`` joins
+base classes along block transpositions for every ``*_permutation``
+relation.  One walk, ``_extensions``, lists the linear extensions over a
+union of host components, and ``_period`` tries only the divisors that the
+block sizes allow, over the whole host or over each component in place.
+
 The path predictor enumerates no orientation: ``permutation_class_count``
-counts the relabeling orbits by Burnside's lemma.  The cycle predictor
-closes toric classes under flips and glues them along block transpositions
-(``_glue``) into ``toric_permutation`` classes, and ``period_of_orientation``
-tries only the divisors that the block sizes allow.
+counts the relabeling orbits by Burnside's lemma.  The cycle predictor sums
+the period gcds of the ``toric_permutation`` classes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .graphs import CliquePartition, MultiplicityGraph, SimpleGraph, complement, lift
+from .graphs import (CliquePartition, MultiplicityGraph, SimpleGraph, _UnionFind,
+                     complement, lift)
 
 
 class FlipError(ValueError):
@@ -270,42 +277,31 @@ class ClassPartition:
 
 def partition_by(relation: str, host: SimpleGraph,
                  cliques: Optional[CliquePartition] = None) -> ClassPartition:
-    """Partition Acyc(host) by closure under the relation's generating moves:
-    flips of a source or sink (``toric``), double flips of a source and a
-    non-adjacent sink (``double_flip``), and transpositions of consecutive
-    vertices of a block (``permutation``), all on direction masks.
-    ``toric_permutation`` closes under flips only and then glues the toric
-    classes along the transpositions (``_glue``), which gives the same
-    classes as the full closure.
+    """Partition Acyc(host) by closure under the relation's generating moves.
+
+    The base relations close under moves on direction masks: flips of a
+    source or sink (``toric``), double flips of a source and a non-adjacent
+    sink (``double_flip``), or none at all (``permutation``, whose base
+    classes are single orientations).  A ``*_permutation`` relation takes
+    its base classes and glues them along the transpositions of consecutive
+    vertices of a block (``_glue``), which gives the same classes as the
+    closure under both kinds of move.
 
     Classes are numbered by their smallest member under the fixed
     orientation ordering, so numbering is deterministic.
     """
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
-    needs_cliques = relation in (
-        "permutation", "toric_permutation", "double_flip_permutation"
-    )
-    if needs_cliques and cliques is None:
+    glue = relation.endswith("permutation")
+    if glue and cliques is None:
         raise ValueError(f"relation {relation!r} needs the block partition")
 
     t = _EdgeMasks(host)
     inc, low, high = t.inc, t.low, t.high
     n = host.n
-    toric = relation in ("toric", "toric_permutation")
-    flips = [v for v in range(n) if inc[v]] if toric else []
-    double = relation in ("double_flip", "double_flip_permutation")
+    flips = [v for v in range(n) if inc[v]] if relation.startswith("toric") else []
+    double = relation.startswith("double_flip")
     adjacent = [sum(1 << w for w in host.neighbors(v)) for v in range(n)]
-    swaps = []
-    if needs_cliques:
-        for block in cliques.blocks:
-            for a, b in zip(block, block[1:]):
-                perm = list(range(n))
-                perm[a], perm[b] = b, a
-                swaps.append(t.permutation(perm))
-    permute = t.permute
-    glue = relation == "toric_permutation"
-    closing_swaps = [] if glue else swaps
 
     def moves(o: int) -> list[int]:
         out = []
@@ -319,8 +315,6 @@ def partition_by(relation: str, host: SimpleGraph,
                 if o & inc[u] == low[u]:
                     out.extend(o ^ inc[u] ^ inc[v] for v in sinks
                                if v != u and not adjacent[u] >> v & 1)
-        for table in closing_swaps:
-            out.append(permute(o, table))
         return out
 
     class_of: dict[int, int] = {}
@@ -341,75 +335,76 @@ def partition_by(relation: str, host: SimpleGraph,
         members.sort()
         classes.append(members)
     if glue:
-        classes = _glue(classes, class_of, swaps, permute)
+        swaps = []
+        for block in cliques.blocks:
+            for a, b in zip(block, block[1:]):
+                perm = list(range(n))
+                perm[a], perm[b] = b, a
+                swaps.append(t.permutation(perm))
+        classes = _glue(classes, class_of, swaps, t.permute)
     return ClassPartition(relation, host, classes)
 
 
 def _glue(classes: list[list[int]], class_of: dict[int, int], swaps: list,
           permute) -> list[list[int]]:
-    """Unions of toric classes linked by block transpositions.
+    """Unions of base classes linked by block transpositions.
 
     The vertices of a block are twins of the host, so a block transposition
-    is a host automorphism: it maps sources to sources and sinks to sinks,
-    and so maps each toric class onto a whole toric class.  One transposed
-    member per class and generator therefore links every pair of classes
-    that the closure under flips and transpositions would merge.  Glued
-    classes come out in order of their smallest member, as the closure
-    numbers them.
+    is a host automorphism.  It maps sources to sources, sinks to sinks and
+    non-adjacent pairs to non-adjacent pairs, so it maps each class of any
+    base relation onto a whole class: a toric class (flips), a double_flip
+    class (double flips) or a single orientation (``permutation``, whose
+    base classes are singletons).  One transposed member per class and
+    generator therefore links every pair of classes that the closure under
+    base moves and transpositions would merge.  Glued classes come out in
+    order of their smallest member, as the closure numbers them.
     """
-    parent = list(range(len(classes)))
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
+    uf = _UnionFind(len(classes))
     for cid, members in enumerate(classes):
         for table in swaps:
-            a, b = find(cid), find(class_of[permute(members[0], table)])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+            uf.union(cid, class_of[permute(members[0], table)])
     glued: dict[int, list[int]] = {}
     for cid, members in enumerate(classes):
-        glued.setdefault(find(cid), []).extend(members)
+        glued.setdefault(uf.find(cid), []).extend(members)
     return [sorted(members) for members in glued.values()]
 
 
 # -- linear extensions and periods ----------------------------------------------
 
 
-def linear_extensions(o: Orientation) -> list[tuple[int, ...]]:
-    """All bijections (position -> vertex) that induce this orientation."""
-    return list(iter_linear_extensions(o))
-
-
-def iter_linear_extensions(o: Orientation) -> Iterator[tuple[int, ...]]:
-    n = o.host.n
-    indeg = [0] * n
-    for v in range(n):
-        for w in o.out_neighbors(v):
+def _extensions(o: Orientation, verts: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Orders of ``verts``, a union of host components, along which every
+    edge of ``o`` points forward."""
+    out = o._out
+    indeg = [0] * o.host.n
+    for v in verts:
+        for w in out[v]:
             indeg[w] += 1
     order: list[int] = []
-    used = [False] * n
+    used = [False] * o.host.n
 
     def rec():
-        if len(order) == n:
+        if len(order) == len(verts):
             yield tuple(order)
             return
-        for v in range(n):
+        for v in verts:
             if not used[v] and indeg[v] == 0:
                 used[v] = True
-                for w in o.out_neighbors(v):
+                for w in out[v]:
                     indeg[w] -= 1
                 order.append(v)
                 yield from rec()
                 order.pop()
-                for w in o.out_neighbors(v):
+                for w in out[v]:
                     indeg[w] += 1
                 used[v] = False
 
     yield from rec()
+
+
+def linear_extensions(o: Orientation) -> list[tuple[int, ...]]:
+    """All bijections (position -> vertex) that induce this orientation."""
+    return list(_extensions(o, range(o.host.n)))
 
 
 def _divisors(n: int) -> list[int]:
@@ -428,23 +423,28 @@ def period_of_arrangement(a: Sequence[int], cliques: CliquePartition) -> int:
 
 
 def period_of_orientation(o: Orientation, cliques: CliquePartition) -> int:
-    """Minimum arrangement period over all linear extensions.
+    """Minimum arrangement period over all linear extensions."""
+    return _period(o, range(o.host.n), cliques.block_of)
+
+
+def _period(o: Orientation, verts: Sequence[int], block_of: Sequence[int]) -> int:
+    """``period_of_orientation`` of ``o`` restricted to ``verts``, a union
+    of host components, with blocks cut down to ``verts``.
 
     A d-periodic block projection of n positions repeats its first d
     entries n/d times, so n/d divides the size of every block.  Only those
     feasible divisors are tried; when n is the only one, no extension is
     walked.
     """
-    n = o.host.n
+    n = len(verts)
     if n == 0:
         return 1
-    feasible = [d for d in _divisors(n)
-                if all(len(b) % (n // d) == 0 for b in cliques.blocks)]
+    sizes = Counter(block_of[v] for v in verts).values()
+    feasible = [d for d in _divisors(n) if all(size % (n // d) == 0 for size in sizes)]
     best = n
     if len(feasible) == 1:
         return best
-    block_of = cliques.block_of
-    for ext in iter_linear_extensions(o):
+    for ext in _extensions(o, verts):
         proj = [block_of[v] for v in ext]
         for d in feasible:
             if d >= best:
@@ -467,21 +467,16 @@ class PeriodProfile:
 
 
 def period_profile(o: Orientation, cliques: CliquePartition) -> PeriodProfile:
-    """Per-component periods of an orientation plus their gcd."""
-    periods = []
-    for comp in o.host.connected_components():
-        sub_host, _ = o.host.subgraph(comp)
-        # subgraph relabels monotonically, so the component's edges keep
-        # their order and orientation; an edge never leaves its component
-        inside = set(comp)
-        dirs = [d for (u, _), d in zip(o.host.edge_list, o.dirs) if u in inside]
-        sub_o = Orientation(sub_host, dirs, check=False)
-        sub_cliques = cliques.restricted(comp)
-        periods.append(period_of_orientation(sub_o, sub_cliques))
-    delta = 0
-    for p in periods:
-        delta = math.gcd(delta, p)
-    return PeriodProfile(tuple(periods), delta if delta else 1)
+    """Per-component periods of an orientation plus their gcd.
+
+    Each component is walked in place, in host vertex ids: an edge never
+    leaves its component, and only the equality pattern of the block
+    projection decides a period.
+    """
+    block_of = cliques.block_of
+    periods = tuple(_period(o, comp, block_of)
+                    for comp in o.host.connected_components())
+    return PeriodProfile(periods, math.gcd(*periods) or 1)
 
 
 # -- component predictors ---------------------------------------------------------
@@ -548,23 +543,17 @@ def permutation_class_count(host: SimpleGraph, cliques: CliquePartition) -> int:
     return count[-1]
 
 
-def predict_path_components(x: MultiplicityGraph,
-                            n: Optional[int] = None) -> int:
+def predict_path_components(x: MultiplicityGraph) -> int:
     """Component count of the path-position swap space over x: the number of
     relabeling orbits of acyclic orientations of the lift complement,
     counted by ``permutation_class_count``."""
-    if n is not None and n != x.total:
-        raise ValueError("n must equal the total multiplicity")
     return permutation_class_count(*complement_of_lift(x))
 
 
-def predict_cycle_components(x: MultiplicityGraph,
-                             n: Optional[int] = None) -> int:
+def predict_cycle_components(x: MultiplicityGraph) -> int:
     """Component count of the cycle-position swap space over x: for each
     flip-and-relabel class, its per-component period gcd counts the rotated
     copies; the prediction is the sum of those gcds."""
-    if n is not None and n != x.total:
-        raise ValueError("n must equal the total multiplicity")
     host, cliques = complement_of_lift(x)
     part = partition_by("toric_permutation", host, cliques)
     return sum(period_profile(part.representative(cid), cliques).delta

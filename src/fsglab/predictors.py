@@ -66,12 +66,10 @@ class Verdict:
 # -- star-position connectivity (multiplicities on the label graph) ------------
 
 
-def predict_star_vs_multgraph(x: MultiplicityGraph, n: Optional[int] = None) -> bool:
+def predict_star_vs_multgraph(x: MultiplicityGraph) -> bool:
     """Connectivity of the swap space with star positions and multiplicity
     labels x: Wilsonian label graphs always connect; biconnected ones need
     some repeated label; otherwise every cut vertex must repeat."""
-    if n is not None and n != x.total:
-        raise ValueError("n must equal the total multiplicity")
     if not x.base.is_connected():
         raise PreconditionError("label graph must be connected")
     cuts, biconnected = articulation_analysis(x.base)
@@ -128,7 +126,12 @@ def double_multiplicity_bridge_probe(
 ) -> Verdict:
     """Exploration probe for the double-multiplicity star question: predict
     connectivity by the absence of an all-unit-multiplicity bridge of length
-    equal to the center multiplicity; record (never assert) the oracle."""
+    equal to the center multiplicity; record (never assert) the oracle.
+
+    It lacks the two-blank case: for center multiplicity 2 ``find_k_bridges``
+    finds nothing on a connected base, where ``find_blocking_chains(x.base,
+    2)`` finds the all-unit chain behind each of the four disagreements in
+    ``double-mult-probe-small``."""
     if x.total != star.total:
         raise PreconditionError("totals must match")
     center = star_center(star.base)

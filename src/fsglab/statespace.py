@@ -72,6 +72,7 @@ from .graphs import (
     find_k_bridges,
     lift,
     star_center,
+    _UnionFind,
 )
 
 
@@ -391,31 +392,6 @@ class _ComponentIds(Mapping):
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-class _UnionFind:
-    """Disjoint sets over 0..n-1 with path halving; the smaller root wins."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = array("l", range(n))
-
-    def find(self, v: int) -> int:
-        p = self.parent
-        while p[v] != v:
-            p[v] = v = p[p[v]]
-        return v
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra < rb:
-            self.parent[rb] = ra
-        else:
-            self.parent[ra] = rb
-        return True
 
 
 # fs/fsm spaces with at most this many arrangements (7!) read their links

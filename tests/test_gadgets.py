@@ -1,7 +1,6 @@
 """Gadget construction, validation, embeddings, exchangeability."""
 
 import itertools
-import math
 import random
 
 import pytest
@@ -25,7 +24,6 @@ from fsglab.gadgets import (
     _audit_cases,
     _SuppressedGraph,
     build_gadget,
-    check_gadget_exchangeability,
     derive_params,
     desk_params,
     find_respecting_embeddings,
@@ -37,6 +35,8 @@ from fsglab.statespace import (
     BudgetExceededError,
     build_components,
     is_exchangeable,
+    reachable,
+    space_for,
 )
 
 
@@ -248,18 +248,13 @@ def _mini_pair():
 
 def test_exchangeability_miniature_true():
     g, h = _mini_pair()
-    res = check_gadget_exchangeability((g, h), budget=10_000, u=2, v=3)
-    assert res.answer is True
-    # dual route: the generic component machinery must agree
-    assert is_exchangeable(g, h, (0, 1, 2, 3), 2, 3, variant="fs")
+    assert is_exchangeable(g, h, (0, 1, 2, 3), 2, 3, budget=10_000, variant="fs")
 
 
 def test_exchangeability_miniature_false_when_disconnected():
     g = SimpleGraph(4, [(0, 1), (0, 2), (1, 2)])  # v=3 isolated in g
     h = complete_graph(4)
-    res = check_gadget_exchangeability((g, h), budget=10_000, u=2, v=3)
-    assert res.answer is False
-    assert not is_exchangeable(g, h, (0, 1, 2, 3), 2, 3, variant="fs")
+    assert not is_exchangeable(g, h, (0, 1, 2, 3), 2, 3, budget=10_000, variant="fs")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -268,26 +263,22 @@ def test_exchangeability_agrees_with_is_exchangeable(n):
     ident = tuple(range(n))
     for g, h in itertools.product(graphs, repeat=2):
         rep = build_components(g, h, variant="fs")
+        component = [ident, *reachable(space_for(g, h, "fs"), ident)]
         for u, v in itertools.combinations(range(n), 2):
-            res = check_gadget_exchangeability((g, h), u=u, v=v)
-            assert res.answer == is_exchangeable(g, h, ident, u, v)
-            if not res.answer:
-                assert res.explored == rep.component_sizes[rep.component_id[ident]]
+            target = tuple(u if t == v else v if t == u else t for t in ident)
+            answer = target in component
+            assert answer == is_exchangeable(g, h, ident, u, v)
+            if not answer:
+                assert len(component) == rep.component_sizes[rep.component_id[ident]]
                 continue
-            # explored counts the states seen before the target arrived, so
-            # that many fit the budget and one fewer does not
-            assert is_exchangeable(g, h, ident, u, v, budget=res.explored)
-            if res.explored > 1:
+            # the BFS sees this many states up to the target, so that many
+            # fit the budget and one fewer does not
+            explored = component.index(target)
+            assert is_exchangeable(g, h, ident, u, v, budget=explored)
+            if explored > 1:
                 with pytest.raises(BudgetExceededError) as exc:
-                    is_exchangeable(g, h, ident, u, v, budget=res.explored - 1)
-                assert exc.value.required == res.explored
-
-
-def test_exchangeability_declines_huge_spaces():
-    pair = build_gadget(desk_params(1, 16))
-    res = check_gadget_exchangeability(pair, budget=10 ** 9)
-    assert res.answer is None
-    assert res.state_space == math.factorial(pair.g.n)
+                    is_exchangeable(g, h, ident, u, v, budget=explored - 1)
+                assert exc.value.required == explored
 
 
 # -- respecting embeddings ----------------------------------------------------------
@@ -355,8 +346,7 @@ def test_embedding_soundness_replay():
             assert sigma[psi_g[wvert]] == psi_h[wvert]
         # pushing the (g, h)-exchange of u, v through psi_h exchanges the
         # images whenever the miniature itself can exchange them
-        mini = check_gadget_exchangeability((g, h), budget=1000, u=1, v=2)
-        if mini.answer:
+        if is_exchangeable(g, h, (0, 1, 2), 1, 2, budget=1000):
             assert is_exchangeable(
                 x, y, sigma, psi_h[1], psi_h[2], variant="fs", budget=10_000
             )

@@ -193,6 +193,12 @@ def test_period_golden_values():
     assert period_of_orientation(alpha, cl) == 4
 
 
+def test_period_of_empty_orientation_is_one():
+    o = Orientation(edgeless_graph(0), ())
+    assert period_of_orientation(o, CliquePartition(())) == 1
+    assert period_profile(o, CliquePartition(())).delta == 1
+
+
 def test_period_all_unit_mults_is_length():
     g = path_graph(4)
     _, cl = lift(MultiplicityGraph(g, (1,) * 4))

@@ -5,7 +5,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fsglab.graphs import (
     MultiplicityGraph,
@@ -13,6 +13,9 @@ from fsglab.graphs import (
     articulation_analysis,
     complete_graph,
     cycle_graph,
+    find_blocking_chains,
+    find_k_bridges,
+    graph_from_json_dict,
     path_graph,
     star_graph,
 )
@@ -169,6 +172,31 @@ def test_probe_vacuous_without_bridges():
     assert v.predicted is True
 
 
+# The four disagreements of double-mult-probe-small.  Each has center
+# multiplicity 2, where the probe's find_k_bridges finds nothing on a
+# connected base, while the blocking-chain criterion of thm16 finds an
+# all-unit chain and so agrees with the oracle.
+PROBE_MISSES = [
+    (SimpleGraph(4, [(0, 1), (0, 3), (1, 2)]), (1, 1)),                   # P4
+    (SimpleGraph(5, [(0, 2), (0, 4), (1, 2), (1, 3)]), (1, 2)),           # P5
+    (SimpleGraph(5, [(0, 1), (0, 3), (0, 4), (1, 2)]), (1, 2)),           # spider
+    (SimpleGraph(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3)]), (1, 2)),   # triangle + path
+]
+
+
+def test_probe_misses_are_two_blank_blocking_chains():
+    misses = [v for v in verify_family("double-mult-probe-small") if not v.agree]
+    assert [(graph_from_json_dict(v.instance["x"]), graph_from_json_dict(v.instance["star"]))
+            for v in misses] == [(MultiplicityGraph(base, (1,) * base.n), star_mults(2, leaves))
+                                 for base, leaves in PROBE_MISSES]
+    for v in misses:
+        x = graph_from_json_dict(v.instance["x"])
+        assert v.predicted is True and v.oracle is False
+        assert find_k_bridges(x.base, 2) == []
+        assert any(all(x.mult[a] == 1 for a in chain)
+                   for chain in find_blocking_chains(x.base, 2))
+
+
 # -- path and cycle counts past the bundled families -------------------------------
 
 
@@ -185,10 +213,12 @@ def labels_past_bundled(draw):
     return MultiplicityGraph(SimpleGraph(n, [e for e, k in zip(pairs, keep) if k]), mult)
 
 
-@pytest.mark.parametrize("theorem", ["path-count", "cycle-count"])
+@pytest.mark.parametrize("theorem", ["path-count", "cycle-count", "cor511", "thm14"])
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(x=labels_past_bundled())
 def test_count_predictors_match_oracle_past_bundled_families(theorem, x):
+    if theorem == "thm14":
+        assume(x.base.is_connected())
     t = predictors.THEOREMS[theorem]
     assert t.predict(x) == t.oracle(x)
 

@@ -21,10 +21,12 @@ from fsglab.graphs import (
 )
 from fsglab.orientations import (
     RELATIONS,
+    Orientation,
     complement_of_lift,
     enumerate_acyc,
     partition_by,
     period_of_orientation,
+    period_profile,
     permutation_class_count,
 )
 from fsglab.randomlab import PackingBudgetError, find_packing, sample_gnp, trial_seed
@@ -340,6 +342,29 @@ def test_period_of_orientation_matches_full_walk():
                     reference.period_of_orientation(o, sub_cliques), (x, comp, o)
                 seen += 1
     assert seen == 43_306
+
+
+def test_period_profile_matches_per_component_construction():
+    # every toric class representative of the multiplicity_graphs(4, 6) lift
+    # complements (a superset of the toric_permutation ones), against the
+    # periods of a relabelled copy of each component: its subgraph, its
+    # orientation and its restricted blocks
+    seen = 0
+    for x in families.multiplicity_graphs(4, 6):
+        host, cliques = complement_of_lift(x)
+        part = partition_by("toric", host, cliques)
+        for cid in range(part.class_count):
+            o = part.representative(cid)
+            periods = []
+            for comp in host.connected_components():
+                sub, _ = host.subgraph(comp)
+                inside = set(comp)
+                dirs = [d for (u, _), d in zip(host.edge_list, o.dirs) if u in inside]
+                periods.append(reference.period_of_orientation(
+                    Orientation(sub, dirs), cliques.restricted(comp)))
+            assert period_profile(o, cliques).periods == tuple(periods), (x, o)
+            seen += 1
+    assert seen == 2_757
 
 
 # -- packing search -------------------------------------------------------------

@@ -76,6 +76,13 @@ def test_incompatible_sizes_error():
         space_for(path_graph(4), EDGE12, "fsm")
 
 
+def test_fs_rejects_label_multiplicities():
+    from fsglab.graphs import IncompatibleSizesError
+
+    with pytest.raises(IncompatibleSizesError):
+        space_for(path_graph(3), EDGE12, "fs")
+
+
 # -- friendly neighbors -------------------------------------------------------------
 
 def test_neighbors_fs_p3_p3():
@@ -220,6 +227,11 @@ def test_exchangeable_fsm_positions():
     a = (0, 1, 2, 0)
     assert not is_exchangeable(x, y, a, 1, 2, variant="fsm", budget=10_000)
     assert is_exchangeable(x, y, a, 0, 3, variant="fsm", budget=10_000)
+
+
+def test_exchangeable_rejects_equal_pair():
+    with pytest.raises(ValueError, match="distinct"):
+        is_exchangeable(path_graph(3), path_graph(3), (0, 1, 2), 1, 1, variant="fs")
 
 
 def test_exchangeable_rejects_bad_arrangement():
@@ -413,6 +425,18 @@ def test_kbridge_invariant_rejects_non_bridge():
     star = MultiplicityGraph(star_graph(3), (3, 1, 1))
     with pytest.raises(KBridgeError):
         kbridge_component_invariant(x, star, (1, 2, 3), 1, (1, 0, 0, 0, 2))
+
+
+def test_kbridge_invariant_rejects_wrong_bridge_length():
+    star = MultiplicityGraph(star_graph(3), (3, 1, 1))
+    with pytest.raises(KBridgeError, match="bridge length 2"):
+        kbridge_component_invariant(path_graph(5), star, (1, 2), 1, (1, 0, 0, 0, 2))
+
+
+def test_kbridge_invariant_rejects_invalid_start():
+    star = MultiplicityGraph(star_graph(3), (3, 1, 1))
+    with pytest.raises(InvalidArrangementError):
+        kbridge_component_invariant(path_graph(5), star, (1, 2, 3), 1, (1, 1, 0, 0, 2))
 
 
 def test_cut_vertex_bound_small():
