@@ -11,13 +11,16 @@ first at a time.  ``Orientation`` objects are built only when asked for.
 One path answers each question.  ``partition_by`` closes the base relation
 (flips, double flips, or nothing for ``permutation``), and ``_glue`` joins
 base classes along block transpositions for every ``*_permutation``
-relation.  One walk, ``_extensions``, lists the linear extensions over a
-union of host components, and ``_period`` tries only the divisors that the
-block sizes allow, over the whole host or over each component in place.
+relation.  One walk, ``_extensions``, lists the linear extensions of a
+direction mask over a union of host components, and ``_period`` tries only
+the divisors that the block sizes allow, over the whole host or over each
+component in place.
 
-The path predictor enumerates no orientation: ``permutation_class_count``
-counts the relabeling orbits by Burnside's lemma.  The cycle predictor sums
-the period gcds of the ``toric_permutation`` classes.
+Neither predictor enumerates Acyc.  ``permutation_class_count`` counts the
+path classes by Burnside's lemma.  The cycle predictor lists, per host
+component, the one orientation of each toric class whose only source is the
+smallest vertex, takes their orbits under block transpositions, and
+combines one period histogram per component by gcd.
 """
 
 from __future__ import annotations
@@ -125,30 +128,32 @@ class _EdgeMasks:
     is ``o ^ inc[v]``.
     """
 
-    __slots__ = ("inc", "low", "high", "_bit")
+    __slots__ = ("inc", "low", "high", "_edges")
 
     def __init__(self, host: SimpleGraph):
-        m = len(host.edge_list)
-        self.inc = [0] * host.n
-        self.low = [0] * host.n
-        self._bit = {}
-        for i, (u, v) in enumerate(host.edge_list):
-            b = m - 1 - i
-            self._bit[u, v] = b
-            self.inc[u] |= 1 << b
-            self.inc[v] |= 1 << b
-            self.low[u] |= 1 << b
-        self.high = [i ^ lo for i, lo in zip(self.inc, self.low)]
+        self._edges = host.edge_list
+        inc = [0] * host.n
+        low = [0] * host.n
+        bit = 1 << len(host.edge_list)
+        for u, v in host.edge_list:
+            bit >>= 1
+            inc[u] |= bit
+            inc[v] |= bit
+            low[u] |= bit
+        self.inc, self.low = inc, low
+        self.high = [i ^ lo for i, lo in zip(inc, low)]
 
     def permutation(self, perm: Sequence[int]) -> tuple[int, list]:
         """``(keep, moved)`` for a vertex permutation that maps host edges
         onto host edges.  ``keep`` holds the bits it leaves in place;
         ``moved`` groups the other bits by how far they shift and whether
         they invert, as ``(source bits, invert bits, left, right)``."""
+        m = len(self._edges)
+        bit_of = {e: m - 1 - i for i, e in enumerate(self._edges)}
         keep, groups = 0, {}
-        for (u, v), s in self._bit.items():
+        for (u, v), s in bit_of.items():
             a, b = perm[u], perm[v]
-            t = self._bit[(b, a) if a > b else (a, b)]
+            t = bit_of[(b, a) if a > b else (a, b)]
             if s == t and a < b:
                 keep |= 1 << s
             else:
@@ -335,14 +340,21 @@ def partition_by(relation: str, host: SimpleGraph,
         members.sort()
         classes.append(members)
     if glue:
-        swaps = []
-        for block in cliques.blocks:
-            for a, b in zip(block, block[1:]):
-                perm = list(range(n))
-                perm[a], perm[b] = b, a
-                swaps.append(t.permutation(perm))
+        swaps = [table for _, table in _block_swaps(t, cliques)]
         classes = _glue(classes, class_of, swaps, t.permute)
     return ClassPartition(relation, host, classes)
+
+
+def _block_swaps(t: _EdgeMasks, cliques: CliquePartition) -> list[tuple[int, tuple]]:
+    """``(a, table)`` for the transposition of each two consecutive vertices
+    a, a + 1 of a block."""
+    swaps = []
+    for block in cliques.blocks:
+        for a, b in zip(block, block[1:]):
+            perm = list(range(len(t.inc)))
+            perm[a], perm[b] = b, a
+            swaps.append((a, t.permutation(perm)))
+    return swaps
 
 
 def _glue(classes: list[list[int]], class_of: dict[int, int], swaps: list,
@@ -372,39 +384,35 @@ def _glue(classes: list[list[int]], class_of: dict[int, int], swaps: list,
 # -- linear extensions and periods ----------------------------------------------
 
 
-def _extensions(o: Orientation, verts: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def _extensions(o: int, t: _EdgeMasks, verts: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Orders of ``verts``, a union of host components, along which every
-    edge of ``o`` points forward."""
-    out = o._out
-    indeg = [0] * o.host.n
+    edge of direction mask ``o`` points forward.  ``live`` holds the edges
+    with both ends unplaced; a vertex comes next when its live edges all
+    leave it."""
+    inc, low = t.inc, t.low
+    full = live = 0
     for v in verts:
-        for w in out[v]:
-            indeg[w] += 1
+        full |= 1 << v
+        live |= inc[v]
     order: list[int] = []
-    used = [False] * o.host.n
 
-    def rec():
-        if len(order) == len(verts):
+    def rec(placed: int, live: int):
+        if placed == full:
             yield tuple(order)
             return
         for v in verts:
-            if not used[v] and indeg[v] == 0:
-                used[v] = True
-                for w in out[v]:
-                    indeg[w] -= 1
+            at = inc[v] & live
+            if not placed >> v & 1 and o & at == low[v] & at:
                 order.append(v)
-                yield from rec()
+                yield from rec(placed | 1 << v, live & ~inc[v])
                 order.pop()
-                for w in out[v]:
-                    indeg[w] += 1
-                used[v] = False
 
-    yield from rec()
+    yield from rec(0, live)
 
 
 def linear_extensions(o: Orientation) -> list[tuple[int, ...]]:
     """All bijections (position -> vertex) that induce this orientation."""
-    return list(_extensions(o, range(o.host.n)))
+    return list(_extensions(_to_mask(o.dirs), _EdgeMasks(o.host), range(o.host.n)))
 
 
 def _divisors(n: int) -> list[int]:
@@ -424,27 +432,29 @@ def period_of_arrangement(a: Sequence[int], cliques: CliquePartition) -> int:
 
 def period_of_orientation(o: Orientation, cliques: CliquePartition) -> int:
     """Minimum arrangement period over all linear extensions."""
-    return _period(o, range(o.host.n), cliques.block_of)
+    verts, block_of = range(o.host.n), cliques.block_of
+    return _period(_to_mask(o.dirs), _EdgeMasks(o.host), verts, block_of,
+                   _feasible_periods(verts, block_of))
 
 
-def _period(o: Orientation, verts: Sequence[int], block_of: Sequence[int]) -> int:
-    """``period_of_orientation`` of ``o`` restricted to ``verts``, a union
-    of host components, with blocks cut down to ``verts``.
-
-    A d-periodic block projection of n positions repeats its first d
-    entries n/d times, so n/d divides the size of every block.  Only those
-    feasible divisors are tried; when n is the only one, no extension is
-    walked.
-    """
+def _feasible_periods(verts: Sequence[int], block_of: Sequence[int]) -> list[int]:
+    """The divisors d of n = len(verts) that a period can take: a d-periodic
+    block projection of n positions repeats its first d entries n/d times,
+    so n/d divides the size of every block cut down to ``verts``."""
     n = len(verts)
-    if n == 0:
-        return 1
     sizes = Counter(block_of[v] for v in verts).values()
-    feasible = [d for d in _divisors(n) if all(size % (n // d) == 0 for size in sizes)]
-    best = n
+    return [d for d in _divisors(n) if all(size % (n // d) == 0 for size in sizes)] or [1]
+
+
+def _period(o: int, t: _EdgeMasks, verts: Sequence[int], block_of: Sequence[int],
+            feasible: list[int]) -> int:
+    """Minimum arrangement period of direction mask ``o`` restricted to
+    ``verts``, a union of host components, trying only the ``feasible``
+    divisors; when the largest is the only one, no extension is walked."""
+    best = feasible[-1]
     if len(feasible) == 1:
         return best
-    for ext in _extensions(o, verts):
+    for ext in _extensions(o, t, verts):
         proj = [block_of[v] for v in ext]
         for d in feasible:
             if d >= best:
@@ -473,8 +483,8 @@ def period_profile(o: Orientation, cliques: CliquePartition) -> PeriodProfile:
     leaves its component, and only the equality pattern of the block
     projection decides a period.
     """
-    block_of = cliques.block_of
-    periods = tuple(_period(o, comp, block_of)
+    mask, t, block_of = _to_mask(o.dirs), _EdgeMasks(o.host), cliques.block_of
+    periods = tuple(_period(mask, t, comp, block_of, _feasible_periods(comp, block_of))
                     for comp in o.host.connected_components())
     return PeriodProfile(periods, math.gcd(*periods) or 1)
 
@@ -550,14 +560,113 @@ def predict_path_components(x: MultiplicityGraph) -> int:
     return permutation_class_count(*complement_of_lift(x))
 
 
+def _toric_representatives(t: _EdgeMasks, comp: Sequence[int]) -> list[int]:
+    """Direction masks, ascending, of the acyclic orientations of a host
+    component whose only source is its smallest vertex v0: one per toric
+    class (Pretzel 1986).
+
+    With v0 the only source every other vertex has an in-edge, so a sink v
+    of the subgraph on S is not v0 and has a neighbour in S - v; removing
+    it leaves v0 the only source of S - v.  The recursion runs over the
+    vertex subsets that hold v0, memoised, and adds v's edges into S - v as
+    in-edges; an orientation with several sinks is kept once.
+    """
+    inc, high = t.inc, t.high
+    v0, others = comp[0], comp[1:]
+    memo: dict[int, set[int]] = {1 << v0: {0}}
+    span = {1 << v0: inc[v0]}  # subset -> bits of the edges that touch it
+
+    def reps(s: int) -> set[int]:
+        if s not in memo:
+            found = set()
+            for v in others:
+                if s >> v & 1:
+                    sub = s ^ 1 << v
+                    rest = reps(sub)
+                    if rest and inc[v] & span[sub]:
+                        into = high[v] & span[sub]
+                        found.update(o | into for o in rest)
+                    span[s] = span[sub] | inc[v]
+            memo[s] = found
+        return memo[s]
+
+    return sorted(reps(sum(1 << v for v in comp)))
+
+
+def _orbit_periods(t: _EdgeMasks, comp: Sequence[int], swaps: list,
+                   block_of: Sequence[int]) -> Counter:
+    """Period histogram of the ``toric_permutation`` classes of one host
+    component, as orbits of its toric representatives under ``swaps``:
+    ``(table, moves v0)`` for each block transposition inside it."""
+    inc, low, permute, others = t.inc, t.low, t.permute, comp[1:]
+    feasible = _feasible_periods(comp, block_of)
+    periods = Counter()
+    seen = set()
+    for start in _toric_representatives(t, comp):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        while stack:
+            o = stack.pop()
+            for table, moves_v0 in swaps:
+                image = permute(o, table)
+                while moves_v0:  # flip the other sources until v0 is the only one
+                    moves_v0 = False
+                    for v in others:
+                        if image & inc[v] == low[v]:
+                            image ^= inc[v]
+                            moves_v0 = True
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+        periods[_period(start, t, comp, block_of, feasible)] += 1
+    return periods
+
+
 def predict_cycle_components(x: MultiplicityGraph) -> int:
-    """Component count of the cycle-position swap space over x: for each
-    flip-and-relabel class, its per-component period gcd counts the rotated
-    copies; the prediction is the sum of those gcds."""
+    """Component count of the cycle-position swap space over x: the sum,
+    over the ``toric_permutation`` classes of the lift complement, of the
+    gcd of a class member's per-component periods (``period_profile``'s
+    ``delta``).
+
+    No class is closed over Acyc.  Block vertices are twins: those with a
+    neighbour share a host component and those without are fixed, so flips
+    and block transpositions act on each component apart, and a class is a
+    product of per-component orbits.  In a connected component each toric
+    class holds exactly one acyclic orientation whose only source is the
+    smallest vertex v0 (Pretzel 1986), and Greene-Zaslavsky (1983) count
+    them as |[q] chi(q)|; ``_toric_representatives`` lists them.  A block
+    transposition is an automorphism, so one that fixes v0 maps a
+    representative onto a representative.  The one that moves v0 is
+    followed by flipping every source other than v0 until v0 is the only
+    source.  That ends: between two flips of a vertex each of its
+    neighbours flips, so a neighbour of v0, which never flips, flips at
+    most once, a vertex at distance d at most d times; and a connected
+    acyclic orientation with no other source has v0 as its only source.
+
+    The per-component period is constant on each orbit: a block
+    transposition keeps the block projection of every extension, and the
+    tests check flips on every class of the small families.  So each orbit
+    gives one period.  A class is a tuple of orbits, one per component, and
+    its delta is the gcd of their periods; the number of classes with each
+    delta is therefore the gcd convolution of the per-component period
+    histograms, and the prediction is the sum of delta times that number.
+    """
     host, cliques = complement_of_lift(x)
-    part = partition_by("toric_permutation", host, cliques)
-    return sum(period_profile(part.representative(cid), cliques).delta
-               for cid in range(part.class_count))
+    t, block_of = _EdgeMasks(host), cliques.block_of
+    swaps = _block_swaps(t, cliques)
+    deltas = Counter({0: 1})  # math.gcd(0, p) == p
+    for comp in host.connected_components():
+        periods = _orbit_periods(t, comp, [(table, a == comp[0])
+                                           for a, table in swaps if a in comp],
+                                 block_of)
+        combined = Counter()
+        for g, count in deltas.items():
+            for p, orbits in periods.items():
+                combined[math.gcd(g, p)] += count * orbits
+        deltas = combined
+    return sum((g or 1) * count for g, count in deltas.items())
 
 
 def coprime_forest_connected(x: MultiplicityGraph) -> bool:

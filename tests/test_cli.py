@@ -169,7 +169,10 @@ def test_verify_spec_file(workdir, capsys):
      "a2118acdc259aab54a62df295d6e941eb13d755b55754c4113cd04c49b47a151"),
     ({"family": "thm55-small", "total_max": 7}, 570,
      "35f82c7f7b89310e9644d08fdcbb08342f7655733af981f8928cbd474fbcdca5"),
-], ids=["thm51-small", "thm55-small", "cor511-small", "thm51-total8", "thm55-total7"])
+    ({"family": "thm55-small", "total_max": 8}, 1054,
+     "3bac9a5fe59572d80e27dc04fe805e6d81493acb0e85ff6626fed90f3cec1cad"),
+], ids=["thm51-small", "thm55-small", "cor511-small", "thm51-total8", "thm55-total7",
+        "thm55-total8"])
 def test_verify_stdout_golden_digest(workdir, capsys, family, verdicts, digest):
     if isinstance(family, dict):
         with open("fam.json", "w") as fh:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,8 @@ from fsglab.orientations import (
     permutation_class_count,
     predict_cycle_components,
     predict_path_components,
+    _EdgeMasks,
+    _toric_representatives,
 )
 from fsglab import families
 
@@ -368,6 +371,78 @@ def test_cycle_count_matches_all_unit_toric_formula():
         for comp in host.connected_components():
             nu = math.gcd(nu, len(comp))
         assert predict_cycle_components(m) == toric * nu
+
+
+def _chromatic_linear_coefficient(g):
+    """[q] chi_g(q) = sum over k of (-1)^(k-1) (k-1)! P_k, with P_k the
+    partitions of the vertices into k independent sets, counted over vertex
+    subsets: the part that holds a subset's smallest vertex is chosen first."""
+    n = g.n
+    adjacent = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
+    parts = [Counter({0: 1})]  # subset -> {k: partitions into k independent sets}
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest, sub = s ^ low, s ^ low
+        parts.append(Counter())
+        while True:
+            i = sub | low
+            if not any(adjacent[v] & i for v in range(n) if i >> v & 1):
+                for k, count in parts[s ^ i].items():
+                    parts[s][k + 1] += count
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+    return sum((-1) ** (k - 1) * math.factorial(k - 1) * count
+               for k, count in parts[-1].items())
+
+
+def test_chromatic_linear_coefficient_examples():
+    assert _chromatic_linear_coefficient(edgeless_graph(1)) == 1        # q
+    assert _chromatic_linear_coefficient(path_graph(3)) == 1            # q(q-1)^2
+    assert _chromatic_linear_coefficient(complete_graph(4)) == -6       # q(q-1)(q-2)(q-3)
+    assert _chromatic_linear_coefficient(cycle_graph(4)) == -3          # (q-1)^4 + (q-1)
+
+
+@pytest.mark.parametrize("max_n, total_max", [(4, 6), (4, 7), (6, 6)])
+def test_toric_representatives_count_the_toric_classes(max_n, total_max):
+    # one representative per toric class of each host component: as many as
+    # |[q] chi(q)| (Greene-Zaslavsky) and as the closure finds, each with
+    # the component's smallest vertex as its only source
+    for x in families.multiplicity_graphs(max_n, total_max):
+        host, _ = complement_of_lift(x)
+        t = _EdgeMasks(host)
+        for comp in host.connected_components():
+            reps = _toric_representatives(t, comp)
+            sub, _ = host.subgraph(comp)
+            assert len(reps) == abs(_chromatic_linear_coefficient(sub)) == \
+                partition_by("toric", sub).class_count, (x, comp)
+            assert all([v for v in comp if o & t.inc[v] == t.low[v]] == comp[:1]
+                       for o in reps), (x, comp)
+
+
+def test_predict_cycle_components_matches_the_class_closure():
+    # the sum of period gcds over the closed and glued toric_permutation classes
+    xs = [x for x in families.multiplicity_graphs(4, 7) if x.total >= 3]
+    assert len(xs) == 570
+    for x in xs:
+        host, cl = complement_of_lift(x)
+        part = partition_by("toric_permutation", host, cl)
+        assert predict_cycle_components(x) == sum(
+            period_profile(part.representative(c), cl).delta
+            for c in range(part.class_count)), x
+
+
+def test_period_profile_constant_on_toric_permutation_classes():
+    # the cycle predictor takes one period per orbit of each component; the
+    # per-component periods, and so delta, agree on every member of a class
+    classes = 0
+    for x in families.multiplicity_graphs(4, 6):
+        host, cl = complement_of_lift(x)
+        for members in partition_by("toric_permutation", host, cl).classes:
+            profiles = {period_profile(o, cl).periods for o in members}
+            assert len(profiles) == 1, (x, profiles)
+            classes += 1
+    assert classes == 1_169
 
 
 def test_coprime_forest_examples():

@@ -223,6 +223,31 @@ def test_count_predictors_match_oracle_past_bundled_families(theorem, x):
     assert t.predict(x) == t.oracle(x)
 
 
+@st.composite
+def star_labels_on_seven(draw):
+    """A connected position graph on 7 vertices, a spanning tree plus up to
+    8 edges, and star labels of total 7 with k >= 2 blanks at the center
+    and 2 to 7 - k leaves."""
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, 7)]
+    extra = draw(st.lists(st.sampled_from(list(itertools.combinations(range(7), 2))),
+                          max_size=8))
+    x = SimpleGraph(7, list(zip(parents, range(1, 7))) + extra)
+    k = draw(st.integers(2, 5))
+    leaves = [1] * draw(st.integers(2, 7 - k))
+    for i in draw(st.lists(st.integers(0, len(leaves) - 1),
+                           min_size=7 - k - len(leaves), max_size=7 - k - len(leaves))):
+        leaves[i] += 1
+    return x, star_mults(k, leaves)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=star_labels_on_seven())
+def test_thm16_matches_oracle_on_seven_positions(case):
+    x, star = case
+    t = predictors.THEOREMS["thm16"]
+    assert t.predict(x, star) == t.oracle(x, star)
+
+
 # -- harness -----------------------------------------------------------------------------
 
 def test_verify_family_small_star():
