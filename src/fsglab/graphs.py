@@ -133,15 +133,6 @@ class SimpleGraph:
             and self.is_connected()
         )
 
-    def is_path_graph(self) -> bool:
-        if self.n == 1:
-            return self.m == 0
-        return (
-            self.m == self.n - 1
-            and self.is_connected()
-            and max(self.degree(v) for v in range(self.n)) <= 2
-        )
-
 
 def complement(g: SimpleGraph) -> SimpleGraph:
     edges = [

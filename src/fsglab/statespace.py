@@ -15,23 +15,36 @@ Two traversals answer every reachability question, and nothing else here
 walks a state space:
 
 * ``reachable`` -- breadth-first search from one arrangement, for queries
-  about a single component (exchangeability, component invariants).
+  about a single component (exchangeability, component invariants).  It
+  expands each arrangement with ``fresh_neighbors``, which returns the
+  neighbours not yet seen and marks them seen.  The budget still counts one
+  new arrangement at a time: when an expansion takes the count past it,
+  only the new arrangements up to the first one past it are yielded before
+  ``BudgetExceededError``.
 * ``build_components`` -- one union-find pass over the whole space, for the
   full component partition.
 
 Every move has an inverse, so the links of a space are undirected.  Each
-space class lists all of an arrangement's neighbours (``neighbors``, for
-``reachable``) and, separately, only those reached by a *forward* move
-(``forward_neighbors``): in fs/fsm a swap across the X-edge (p, q), p < q,
-that moves the smaller label from p to q; in fsmm, for an X-edge (u, v) and
-a Y-edge (y1, y2), a move of a copy of u from y1 to y2 against a copy of v
-from y2 to y1.  The reverse of a forward move is not forward, and no two
-moves from one arrangement reach the same neighbour, so every undirected
-link is produced exactly once, from one of its two ends.
-``build_components`` unions forward neighbours only, so it sees each link
-once and its ``edge_count`` is the number of forward moves.
+space class lists all of an arrangement's neighbours (``neighbors``) and,
+separately, only those reached by a *forward* move (``forward_neighbors``):
+in fs/fsm a swap across the X-edge (p, q), p < q, that moves the smaller
+label from p to q; in fsmm, for an X-edge (u, v) and a Y-edge (y1, y2), a
+move of a copy of u from y1 to y2 against a copy of v from y2 to y1.  The
+reverse of a forward move is not forward, and no two moves from one
+arrangement reach the same neighbour, so every undirected link is produced
+exactly once, from one of its two ends.  ``build_components`` unions
+forward neighbours only, so it sees each link once and its ``edge_count``
+is the number of forward moves.
 
-It reads those moves from one of two link sources:
+The three move functions are generated Python, one source per function
+and X shape (fsmm: X and Y shape), cached and formatted from integers
+only.  The code unpacks the arrangement once, tests each move on named
+entries and builds each neighbour as a tuple display, with no loop over
+the edges.  A space generates a function on its first use, not when it is
+built: the table path below never lists a move, and a benchmark repetition
+builds about 2,000 such spaces.  Compiling costs about 1 ms a function.
+
+``build_components`` reads the moves from one of two link sources:
 
 * fs/fsm spaces with at most ``_TABLE_STATES`` = 7! arrangements use the
   ``_StateTable`` of their label counts: an arrangement-to-rank index and,
@@ -42,12 +55,14 @@ It reads those moves from one of two link sources:
 * Larger spaces, and fsmm, rank their arrangements in a dict of their own
   and hash each forward neighbour into it.
 
-Either way the component ids are an ``array`` in enumeration order, read
-through the index, which no call writes.  Larger tables are not kept: a
-cached table outlives its report, and FS(K4,5, C9) would hold its whole
-index of 362,880 tuples (about 68 MB) for the life of the process.  At the
-bound a table holds 0.7 MB, or 1.2 MB with the swaps of all 21 position
-pairs.
+Either way the union-find parents, and then the component ids, are a list
+in enumeration order, read through the index, which no call writes.  The
+list starts as the index's values, so it holds the index's own rank ints:
+8 B an entry, as an ``array('l')`` would cost, but a read allocates
+nothing.  Larger tables are not kept: a cached table outlives its report,
+and FS(K4,5, C9) would hold its whole index of 362,880 tuples (about
+68 MB) for the life of the process.  At the bound a table holds 0.7 MB, or
+1.2 MB with the swaps of all 21 position pairs.
 """
 
 from __future__ import annotations
@@ -93,10 +108,103 @@ class InvalidArrangementError(ValueError):
     pass
 
 
+# -- moves --------------------------------------------------------------------
+
+_MOVES = ("neighbors", "forward_neighbors", "fresh_neighbors")
+
+
+class _GeneratedMoves:
+    """Generates each of the space's ``_MOVES`` on its first use and keeps
+    it on the instance, where later lookups find it."""
+
+    def __getattr__(self, name: str):
+        if name not in _MOVES:
+            raise AttributeError(name)
+        move = self.__dict__[name] = self._moves(name)
+        return move
+
+
+def _tuple(names: Sequence[str]) -> str:
+    return "(" + "".join(name + ", " for name in names) + ")"
+
+
+def _compile_move(name: str, unpack: Sequence[str], moves: Sequence[tuple]):
+    """Compile ``bind(m)``, which returns the ``_MOVES`` function ``name``.
+
+    ``unpack`` are statements that name the parts of an arrangement ``a``,
+    and each move is (test, forward, new arrangement), expressions over
+    those names and ``m``.  ``forward_neighbors`` makes the forward moves
+    whose test holds, the other two every move whose test holds."""
+    fresh = name == "fresh_neighbors"
+    body = [(test, b) for test, forward, b in moves
+            if forward or name != "forward_neighbors"]
+    src = ["def bind(m):", f" def {name}(a{', seen' if fresh else ''}):"]
+    src += ["  " + line for line in unpack] if body else []
+    src.append("  out = []")
+    for test, b in body:
+        src.append(f"  if {test}:")
+        src += [f"   b = {b}", "   if b not in seen:", "    seen.add(b)",
+                "    out.append(b)"] if fresh else [f"   out.append({b})"]
+    src += ["  return out", f" return {name}"]
+    namespace: dict = {}
+    exec(compile("\n".join(src), "<moves>", "exec"), namespace)
+    return namespace["bind"]
+
+
+@functools.lru_cache(maxsize=128)
+def _fs_moves(name: str, n: int, edges: tuple[tuple[int, int], ...]):
+    """The moves of every fs/fsm space on n positions with X-edges ``edges``:
+    a swap across (p, q) when ``m[s][t]`` is 1 for the labels s = a[p] and
+    t = a[q].  A position at the lower end of several X-edges reads its
+    label's row once."""
+    names = [f"a{i:d}" for i in range(n)]
+    lower = [p for p, _ in edges]
+    rows = {p: f"m{p:d}" for p in lower if lower.count(p) > 1}
+    unpack = [_tuple(names) + " = a"] + [
+        f"{row} = m[a{p:d}]" for p, row in rows.items()]
+    moves = []
+    for p, q in edges:
+        b = list(names)
+        b[p], b[q] = b[q], b[p]
+        moves.append((f"{rows.get(p, f'm[a{p:d}]')}[a{q:d}]", True, _tuple(b)))
+    return _compile_move(name, unpack, moves)
+
+
+@functools.lru_cache(maxsize=128)
+def _fsmm_moves(name: str, nx: int, x_edges: tuple[tuple[int, int], ...], ny: int,
+                y_edges: tuple[tuple[int, int], ...]):
+    """The moves of every fsmm space with these X and Y base graphs: for an
+    X-edge (u, v) and a Y-edge (y1, y2), a copy of u moves from y1 to y2
+    against a copy of v back (forward), then the reverse.  Entry ``c{u}_{y}``
+    of row ``r{u}`` counts the copies of u on y."""
+    rows = [f"r{u:d}" for u in range(nx)]
+    cells = {u: [f"c{u:d}_{k:d}" for k in range(ny)]
+             for u in sorted({u for e in x_edges for u in e})}
+    unpack = [_tuple(rows) + " = a"] + [
+        _tuple(cells[u]) + f" = r{u:d}" for u in cells]
+
+    def shift(u, src, dst):
+        row = list(cells[u])
+        row[src] += " - 1"
+        row[dst] += " + 1"
+        return _tuple(row)
+
+    moves = []
+    for u, v in x_edges:
+        for y1, y2 in y_edges:
+            for src, dst in ((y1, y2), (y2, y1)):
+                b = list(rows)
+                b[u] = shift(u, src, dst)
+                b[v] = shift(v, dst, src)
+                moves.append((f"{cells[u][src]} and {cells[v][dst]}",
+                               src == y1, _tuple(b)))
+    return _compile_move(name, unpack, moves)
+
+
 # -- spaces -------------------------------------------------------------------
 
 
-class FSmSpace:
+class FSmSpace(_GeneratedMoves):
     """FSm(X, Y): label vectors over positions V(X), label y used mult[y] times.
 
     With every multiplicity 1 the vectors are the bijections of FS(X, Y).
@@ -109,9 +217,6 @@ class FSmSpace:
             )
         self.x = x
         self.y = y
-        # bit t of _mask[s] is set iff labels s and t are adjacent in Y
-        self._mask = [sum(1 << t for t in y.base.neighbors(s))
-                      for s in range(y.base.n)]
 
     def count(self) -> int:
         c = math.factorial(self.y.total)
@@ -130,36 +235,17 @@ class FSmSpace:
             counts[lab] += 1
         return tuple(counts) == self.y.mult
 
-    def neighbors(self, a: tuple[int, ...]) -> list[tuple[int, ...]]:
-        mask = self._mask
-        out = []
-        for p, q in self.x.edge_list:
-            s = a[p]
-            t = a[q]
-            if mask[s] >> t & 1:
-                b = list(a)
-                b[p] = t
-                b[q] = s
-                out.append(tuple(b))
-        return out
-
-    def forward_neighbors(self, a: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The neighbours reached by swapping a smaller label on an edge's
-        lower position with a larger one on its upper position."""
-        mask = self._mask
-        out = []
-        for p, q in self.x.edge_list:
-            s = a[p]
-            t = a[q]
-            if s < t and mask[s] >> t & 1:
-                b = list(a)
-                b[p] = t
-                b[q] = s
-                out.append(tuple(b))
-        return out
+    def _moves(self, name: str):
+        # row s holds a 1 at each label t adjacent to s in Y; for the forward
+        # moves only at t > s
+        y = self.y.base
+        both = name != "forward_neighbors"
+        m = [[int((s, t) in y.edges or both and (t, s) in y.edges)
+              for t in range(y.n)] for s in range(y.n)]
+        return _fs_moves(name, self.x.n, self.x.edge_list)(m)
 
 
-class FSmmSpace:
+class FSmmSpace(_GeneratedMoves):
     """FSmm(X, Y): count matrices, row u = copies of label u on each position.
 
     A move swaps one copy of label u on position y1 with one copy of a
@@ -202,45 +288,9 @@ class FSmmSpace:
 
         return fill(0, self.y.mult, [])
 
-    def neighbors(self, a) -> list[tuple[tuple[int, ...], ...]]:
-        out = []
-        for u, v in self.x.base.edge_list:
-            ru = a[u]
-            rv = a[v]
-            for y1, y2 in self.y.base.edge_list:
-                if ru[y1] > 0 and rv[y2] > 0:
-                    out.append(_matrix_swap(a, u, v, y1, y2))
-                if ru[y2] > 0 and rv[y1] > 0:
-                    out.append(_matrix_swap(a, u, v, y2, y1))
-        return out
-
-    def forward_neighbors(self, a) -> list[tuple[tuple[int, ...], ...]]:
-        """The neighbours reached by moving a copy of the lower label of an
-        X-edge to the upper end of a Y-edge; the reverse move is the other
-        branch of ``neighbors``."""
-        out = []
-        for u, v in self.x.base.edge_list:
-            ru = a[u]
-            rv = a[v]
-            for y1, y2 in self.y.base.edge_list:
-                if ru[y1] > 0 and rv[y2] > 0:
-                    out.append(_matrix_swap(a, u, v, y1, y2))
-        return out
-
-
-def _matrix_swap(a, u, v, y1, y2):
-    """``a`` with one copy of u moved from y1 to y2 and one copy of v back;
-    only rows u and v are rebuilt."""
-    b = list(a)
-    row = list(a[u])
-    row[y1] -= 1
-    row[y2] += 1
-    b[u] = tuple(row)
-    row = list(a[v])
-    row[y2] -= 1
-    row[y1] += 1
-    b[v] = tuple(row)
-    return tuple(b)
+    def _moves(self, name: str):
+        x, y = self.x.base, self.y.base
+        return _fsmm_moves(name, x.n, x.edge_list, y.n, y.edge_list)(None)
 
 
 def _label_vectors(mult: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -380,7 +430,7 @@ class _ComponentIds(Mapping):
 
     __slots__ = ("index", "ids")
 
-    def __init__(self, index: dict, ids: array):
+    def __init__(self, index: dict, ids: list):
         self.index = index
         self.ids = ids
 
@@ -462,11 +512,12 @@ def build_components(
         index = table.index
     else:
         table = None
-        index = {a: i for i, a in enumerate(space.enumerate())}
+        index = dict(zip(space.enumerate(), itertools.count()))
     # union-find over enumeration ranks, allocated after the index so that it
-    # does not add to the index's peak; the smaller root wins, so every root
-    # is its component's first arrangement and parent[i] <= i
-    parent = array("l", range(total))
+    # does not add to the index's peak, and holding the index's own rank
+    # ints; the smaller root wins, so every root is its component's first
+    # arrangement and parent[i] <= i
+    parent = list(index.values())
     links = 0
     if table is not None:
         # rank pairs from the shared table, per X-edge and Y-edge
@@ -492,7 +543,7 @@ def build_components(
     else:
         # forward neighbours of each arrangement, ranked by this call's index
         forward = space.forward_neighbors
-        for i, a in enumerate(index):
+        for a, i in index.items():
             nbrs = forward(a)
             if not nbrs:
                 continue
@@ -512,8 +563,7 @@ def build_components(
                     ra = rb
     # one pass in enumeration order overwrites each entry with its id
     sizes: list[int] = []
-    for i in range(total):
-        p = parent[i]
+    for i, p in enumerate(parent):
         if p == i:
             cid = len(sizes)
             sizes.append(1)
@@ -538,19 +588,21 @@ def reachable(space, start, budget: Optional[int] = None) -> Iterator:
     a caller that stops at the arrangement that would exceed the budget gets
     its answer; resuming past it raises ``BudgetExceededError``.
     """
+    fresh = space.fresh_neighbors
+    limit = math.inf if budget is None else budget
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for cur in frontier:
-            for nb in space.neighbors(cur):
-                if nb in seen:
-                    continue
-                yield nb
-                seen.add(nb)
-                nxt.append(nb)
-                if budget is not None and len(seen) > budget:
-                    raise BudgetExceededError(len(seen), budget)
+            new = fresh(cur, seen)
+            if len(seen) > limit and new:
+                # stop at the first new arrangement past the budget
+                keep = max(1, budget + 1 - (len(seen) - len(new)))
+                yield from new[:keep]
+                raise BudgetExceededError(len(seen) - len(new) + keep, budget)
+            yield from new
+            nxt += new
         frontier = nxt
 
 

@@ -2,6 +2,9 @@
 
 * The state-space oracle as it stood before ``fs`` became ``fsm`` with unit
   label multiplicities.
+* ``reachable`` as a breadth-first search that asks ``neighbors`` for every
+  move and checks the budget one new arrangement at a time, before it
+  expanded each arrangement with ``fresh_neighbors``.
 * ``articulation_analysis`` and ``is_wilsonian`` as they stood before
   vertex-deletion questions were asked of the graph itself.
 * The orientation layer (``Orientation``, ``enumerate_acyc``,
@@ -310,6 +313,30 @@ def build_components(
         edge_count=links // 2,
         component_id=ids,
     )
+
+
+def reachable(space, start, budget: Optional[int] = None) -> Iterator:
+    """The arrangements reachable from ``start`` by friendly swaps, in
+    breadth-first order, ``start`` itself excluded.
+
+    Each new arrangement is yielded before it counts against ``budget``, so
+    a caller that stops at the arrangement that would exceed the budget gets
+    its answer; resuming past it raises ``BudgetExceededError``.
+    """
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for nb in space.neighbors(cur):
+                if nb in seen:
+                    continue
+                yield nb
+                seen.add(nb)
+                nxt.append(nb)
+                if budget is not None and len(seen) > budget:
+                    raise BudgetExceededError(len(seen), budget)
+        frontier = nxt
 
 
 # -- graphs: articulation and Wilson's criterion ------------------------------

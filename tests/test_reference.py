@@ -13,6 +13,8 @@ from fsglab.graphs import (
     SimpleGraph,
     articulation_analysis,
     as_multiplicity,
+    complement,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     edgeless_graph,
@@ -423,3 +425,141 @@ def test_find_packing_matches_reference_at_sweep_scale(k, trial, found, nodes):
             _packing(reference.find_packing, x, y, budget)
     censored = _packing(find_packing, x, y, 20_000)[0] == "budget"
     assert censored == (nodes > 20_000)
+
+
+# -- generated moves and the BFS ------------------------------------------------
+
+
+def _is_forward(a, b):
+    """Whether the move from ``a`` to neighbour ``b`` is forward: in fs/fsm
+    the smaller label leaves the lower of the two positions that change; in
+    fsmm the lower changed row loses a copy on the lower column."""
+    changed = [i for i in range(len(a)) if a[i] != b[i]]
+    if isinstance(a[0], tuple):
+        row, new = a[changed[0]], b[changed[0]]
+        lost = next(k for k in range(len(row)) if new[k] < row[k])
+        gained = next(k for k in range(len(row)) if new[k] > row[k])
+        return lost < gained
+    p, q = changed
+    return a[p] < a[q]
+
+
+def _assert_moves_match_reference(space, ref, arrangements):
+    for i, a in enumerate(arrangements):
+        nbrs = ref.neighbors(a)
+        assert space.neighbors(a) == nbrs, a
+        assert space.forward_neighbors(a) == [
+            b for b in nbrs if _is_forward(a, b)], a
+        # every other neighbour seen already, plus an arrangement that is
+        # not a neighbour
+        seen = {a, *nbrs[i % 2::2]}
+        before = set(seen)
+        fresh = space.fresh_neighbors(a, seen)
+        assert fresh == [b for b in nbrs if b not in before], a
+        assert seen == before | set(nbrs), a
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_generated_moves_match_reference_in_order(inst):
+    variant, x, y = inst
+    space = space_for(x, y, variant)
+    _assert_moves_match_reference(space, reference.space_for(x, y, variant),
+                                  list(space.enumerate()))
+
+
+@pytest.mark.parametrize("variant, x, y", [
+    ("fs", edgeless_graph(4), path_graph(4)),
+    ("fsm", edgeless_graph(5), MultiplicityGraph(path_graph(2), (3, 2))),
+    ("fsmm", as_multiplicity(edgeless_graph(3)),
+     MultiplicityGraph(path_graph(2), (2, 1))),
+    ("fs", edgeless_graph(1), edgeless_graph(1)),
+    ("fsm", edgeless_graph(1), MultiplicityGraph(edgeless_graph(1), (1,))),
+    ("fsmm", MultiplicityGraph(path_graph(2), (1, 2)),
+     MultiplicityGraph(edgeless_graph(1), (3,))),
+])
+def test_generated_moves_without_x_edges_or_positions(variant, x, y):
+    space = space_for(x, y, variant)
+    arrangements = list(space.enumerate())
+    _assert_moves_match_reference(space, reference.space_for(x, y, variant),
+                                  arrangements)
+    assert all(space.neighbors(a) == [] for a in arrangements)
+
+
+@pytest.mark.parametrize("variant, x, y", [
+    ("fs", complete_bipartite_graph(4, 5), cycle_graph(9)),
+    ("fsm", cycle_graph(11), MultiplicityGraph(path_graph(4), (3, 3, 3, 2))),
+])
+def test_generated_moves_on_the_large_oracle_shapes(variant, x, y):
+    rng = random.Random(19)
+    space = space_for(x, y, variant)
+    labels = [lab for lab, c in enumerate(as_multiplicity(y).mult)
+              for _ in range(c)]
+    sample = []
+    for _ in range(2_000):
+        rng.shuffle(labels)
+        sample.append(tuple(labels))
+    _assert_moves_match_reference(space, reference.space_for(x, y, variant),
+                                  sample)
+
+
+def _walk(bfs):
+    """The arrangements a BFS yields, and the ``required`` it raises with."""
+    out = []
+    try:
+        for a in bfs:
+            out.append(a)
+    except statespace.BudgetExceededError as e:
+        return out, e.required
+    return out, None
+
+
+@pytest.mark.parametrize("x, y", [
+    (complete_bipartite_graph(1, 5), complete_graph(6)),
+    (complete_graph(5), cycle_graph(5)),
+    (path_graph(5), complete_graph(5)),
+])
+def test_reachable_matches_reference_at_every_budget(x, y):
+    # the first expansions add several new arrangements at once, so the
+    # budget falls inside a batch of fresh neighbours
+    space = space_for(x, y, "fs")
+    ref = reference.space_for(x, y, "fs")
+    for start in ((0, 1, 2, 3, 4, 5)[:x.n], (x.n - 1, *range(x.n - 1))):
+        full = _walk(statespace.reachable(space, start))
+        assert full == _walk(reference.reachable(ref, start))
+        assert full[1] is None
+        assert len(ref.neighbors(start)) >= 3
+        for budget in range(len(full[0]) + 3):
+            assert _walk(statespace.reachable(space, start, budget)) == \
+                _walk(reference.reachable(ref, start, budget)), (start, budget)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances().filter(lambda inst: inst[0] != "fsmm"), st.randoms())
+def test_reachable_matches_reference_near_the_budget(inst, rng):
+    variant, x, y = inst
+    space = space_for(x, y, variant)
+    ref = reference.space_for(x, y, variant)
+    start = rng.choice(list(space.enumerate()))
+    size = len(_walk(reference.reachable(ref, start))[0])
+    for budget in {None, 0, 1, 2, size // 2, size - 1, size, size + 1}:
+        if budget is None or budget >= 0:
+            assert _walk(statespace.reachable(space, start, budget)) == \
+                _walk(reference.reachable(ref, start, budget)), budget
+
+
+def test_fs_above_the_table_bound_matches_reference():
+    # FS(C8, complement of P8): 40,320 arrangements in 8 components of 5,040,
+    # the exchange space of the benchmark's oracle-many workload
+    x, y = cycle_graph(8), complement(path_graph(8))
+    live = build_components(x, y, variant="fs")
+    assert live.vertex_count == 40_320 > statespace._TABLE_STATES
+    _assert_same_report(live, reference.build_components(x, y, variant="fs"))
+    hits = 0
+    for a in ((0, 1, 2, 3, 4, 5, 6, 7), (3, 7, 1, 6, 0, 4, 2, 5)):
+        for u, v in itertools.combinations(range(8), 2):
+            swapped = tuple(u if t == v else v if t == u else t for t in a)
+            same = live.component_of(a) == live.component_of(swapped)
+            assert statespace.is_exchangeable(x, y, a, u, v) == same, (a, u, v)
+            hits += same
+    assert 0 < hits < 56
