@@ -1,9 +1,11 @@
 """Arrangement state spaces: enumeration, components, audits."""
 
+import gc
 import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from fsglab.graphs import (
     MultiplicityGraph,
     SimpleGraph,
+    as_multiplicity,
+    complement,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -31,7 +35,7 @@ from fsglab.statespace import (
     quotient_audit,
     space_for,
 )
-from fsglab import families
+from fsglab import families, statespace
 
 
 EDGE12 = MultiplicityGraph(SimpleGraph(2, [(0, 1)]), (1, 2))
@@ -244,6 +248,33 @@ def test_exchangeable_rejects_bad_arrangement():
         is_exchangeable(path_graph(3), EDGE12, (1, 0.0, 1), 0, 1, variant="fsm")
 
 
+def _no_walk(space, start, budget=None):
+    raise AssertionError("walked the space")
+
+
+def test_exchangeable_rejects_labels_outside_the_space():
+    # (0, 99) used to walk the whole component and answer False
+    p3, a = path_graph(3), (0, 1, 2)
+    assert not is_exchangeable(p3, p3, a, 0, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statespace, "reachable", _no_walk)
+        for u, v in ((0, 99), (99, 0), (-1, 0), (0, 3), (0, 2.0)):
+            with pytest.raises(ValueError, match=r"label .* is not in range\(3\)"):
+                is_exchangeable(p3, p3, a, u, v, variant="fs")
+
+
+def test_exchangeable_rejects_positions_outside_the_space():
+    # position -1 used to wrap to the last position and answer True
+    x, y = path_graph(4), MultiplicityGraph(star_graph(3), (2, 1, 1))
+    a = (0, 1, 2, 0)
+    assert not is_exchangeable(x, y, a, 1, 2, variant="fsm")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statespace, "reachable", _no_walk)
+        for u, v in ((-1, 0), (0, -1), (1, 4), (1, 2.0)):
+            with pytest.raises(ValueError, match=r"position .* is not in range\(4\)"):
+                is_exchangeable(x, y, a, u, v, variant="fsm")
+
+
 def test_exchangeable_rejects_fsmm_before_reading_the_arrangement():
     x = MultiplicityGraph(K2, (2, 1))
     with pytest.raises(ValueError, match="defined for fs and fsm variants"):
@@ -384,6 +415,260 @@ def test_fs_swapping_the_graphs_keeps_component_sizes(pair):
 def test_quotient_audit_on_random_multiplicities(case):
     x, base, mult = case
     assert quotient_audit(x, MultiplicityGraph(base, mult))
+
+
+# -- exchangeability across queries -------------------------------------------------------
+
+def _target(a, u, v, variant):
+    if variant == "fs":
+        return tuple(u if t == v else v if t == u else t for t in a)
+    b = list(a)
+    b[u], b[v] = b[v], b[u]
+    return tuple(b)
+
+
+def _outcome(x, y, a, u, v, variant="fs", budget=None):
+    """``is_exchangeable``'s answer, or the ``required`` it raises with."""
+    try:
+        return is_exchangeable(x, y, a, u, v, budget=budget, variant=variant)
+    except BudgetExceededError as e:
+        return "budget", e.required
+
+
+def _cold(x, y, a, u, v, variant="fs", budget=None):
+    statespace._exhausted.clear()
+    return _outcome(x, y, a, u, v, variant, budget)
+
+
+def _queries(starts):
+    return [(a, u, v) for a in starts
+            for u, v in itertools.combinations(range(len(a)), 2)]
+
+
+def _assert_warm_answers(x, y, starts, variant):
+    """Every pair from every start, asked in turn with the kept components
+    of earlier queries, gets the answer of the component partition; so does
+    each one asked with nothing kept.  Returns the answers."""
+    rep = build_components(x, y, variant=variant)
+    queries = _queries(starts)
+    partition = [rep.component_of(a) == rep.component_of(_target(a, u, v, variant))
+                 for a, u, v in queries]
+    statespace._exhausted.clear()
+    assert [_outcome(x, y, a, u, v, variant) for a, u, v in queries] == partition
+    memo = statespace._exhausted
+    for (a, _, _), same in zip(queries, partition):
+        if not same:
+            # a miss keeps its start's whole component
+            assert memo.sizes[memo.number[bytes(a)]] == \
+                rep.component_sizes[rep.component_of(a)]
+    assert len(memo.number) == sum(memo.sizes)
+    assert [_cold(x, y, a, u, v, variant) for a, u, v in queries] == partition
+    return partition
+
+
+def test_kept_components_answer_every_label_pair_on_the_oracle_many_space():
+    # FS(C8, complement of P8): 8 components of 5,040, the exchange space of
+    # the benchmark's oracle-many workload
+    x, y = cycle_graph(8), complement(path_graph(8))
+    starts = [tuple(range(8)), (3, 7, 1, 6, 0, 4, 2, 5), (5, 2, 7, 0, 6, 1, 3, 4)]
+    answers = _assert_warm_answers(x, y, starts, "fs")
+    assert 0 < sum(answers) < len(answers)
+
+
+def _fsm_spaces():
+    return (st.lists(st.integers(1, 3), min_size=1, max_size=6)
+            .filter(lambda mult: sum(mult) <= 6)
+            .flatmap(lambda mult: st.tuples(_graphs(sum(mult)), _graphs(len(mult)),
+                                            st.just(tuple(mult))))
+            .map(lambda case: (case[0], MultiplicityGraph(case[1], case[2]))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fsm_spaces(), _fsm_spaces(), st.randoms())
+def test_kept_components_answer_every_position_pair_on_fsm_spaces(one, two, rng):
+    for x, y in (one, two):
+        arrangements = list(space_for(x, y, "fsm").enumerate())
+        starts = [rng.choice(arrangements) for _ in range(3)]
+        _assert_warm_answers(x, y, starts, "fsm")
+
+
+def _relabel(g, perm):
+    return SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list])
+
+
+def _partition_answers(x, y, queries):
+    rep = build_components(x, y, variant="fs")
+    return [rep.component_of(a) == rep.component_of(_target(a, u, v, "fs"))
+            for a, u, v in queries]
+
+
+def test_kept_components_follow_the_space_they_were_walked_on():
+    # A, then B, then A again, then A with positions and labels renamed:
+    # each answers as its own partition, and a miss on one space drops the
+    # components kept for another
+    a_graphs = (cycle_graph(6), complement(path_graph(6)))
+    b_graphs = (path_graph(6), cycle_graph(6))
+    pos, lab = (2, 0, 5, 1, 3, 4), (4, 2, 0, 5, 1, 3)
+    renamed = (_relabel(a_graphs[0], pos), _relabel(a_graphs[1], lab))
+    starts = [(0, 1, 2, 3, 4, 5), (5, 3, 1, 0, 2, 4)]
+    a_queries = _queries(starts)
+    renamed_queries = []
+    for a, u, v in a_queries:
+        b = [0] * 6
+        for p, t in enumerate(a):
+            b[pos[p]] = lab[t]
+        renamed_queries.append((tuple(b), lab[u], lab[v]))
+    a_answers = _partition_answers(*a_graphs, a_queries)
+    b_answers = _partition_answers(*b_graphs, a_queries)
+    assert _partition_answers(*renamed, renamed_queries) == a_answers
+    # every start misses on both spaces, so each pass keeps its components
+    for answers in (a_answers, b_answers):
+        assert not all(answers[:15]) and not all(answers[15:])
+    statespace._exhausted.clear()
+    for (x, y), queries, answers in ((a_graphs, a_queries, a_answers),
+                                     (b_graphs, a_queries, b_answers),
+                                     (a_graphs, a_queries, a_answers),
+                                     (renamed, renamed_queries, a_answers)):
+        assert [is_exchangeable(x, y, a, u, v) for a, u, v in queries] == answers
+        assert statespace._exhausted.graphs == (x, as_multiplicity(y))
+    # A's kept components answer A's questions without a walk, but not
+    # those of the renamed copy
+    for a, u, v in a_queries:
+        is_exchangeable(*a_graphs, a, u, v)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statespace, "reachable", _no_walk)
+        assert [is_exchangeable(*a_graphs, a, u, v)
+                for a, u, v in a_queries] == a_answers
+        with pytest.raises(AssertionError, match="walked the space"):
+            is_exchangeable(*renamed, *renamed_queries[0])
+
+
+def test_fs_and_unit_fsm_share_the_kept_components():
+    # the same space asked by labels (fs) and by positions (fsm)
+    x, y = cycle_graph(8), complement(path_graph(8))
+    unit = MultiplicityGraph(y, (1,) * 8)
+    a = (3, 7, 1, 6, 0, 4, 2, 5)
+    pairs = list(itertools.combinations(range(8), 2))
+    by_positions = [tuple(sorted((a.index(u), a.index(v)))) for u, v in pairs]
+    for (first, ask_first), (then, ask_then) in (
+            (("fs", pairs), ("fsm", by_positions)),
+            (("fsm", by_positions), ("fs", pairs))):
+        yy = {"fs": y, "fsm": unit}
+        statespace._exhausted.clear()
+        answers = [is_exchangeable(x, yy[first], a, u, v, variant=first)
+                   for u, v in ask_first]
+        assert 0 < sum(answers) < len(answers)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(statespace, "reachable", _no_walk)
+            assert [is_exchangeable(x, yy[then], a, p, q, variant=then)
+                    for p, q in ask_then] == answers
+
+
+@pytest.mark.parametrize("x, y, a, u, v, variant", [
+    (path_graph(3), path_graph(3), (0, 1, 2), 0, 2, "fs"),
+    (path_graph(4), MultiplicityGraph(star_graph(3), (2, 1, 1)),
+     (0, 1, 2, 0), 1, 2, "fsm"),
+])
+def test_warm_miss_charges_the_whole_component(x, y, a, u, v, variant):
+    # test_exchangeable_miss_charges_the_whole_component, after an
+    # unbudgeted miss has kept the component
+    rep = build_components(x, y, variant=variant)
+    size = rep.component_sizes[rep.component_id[a]]
+    assert size > 1
+    cold = {budget: _cold(x, y, a, u, v, variant, budget) for budget in (-1, 0)}
+    statespace._exhausted.clear()
+    assert not is_exchangeable(x, y, a, u, v, variant=variant)
+    assert statespace._exhausted.sizes == [size]
+    assert not is_exchangeable(x, y, a, u, v, budget=size, variant=variant)
+    for budget in range(1, size):
+        with pytest.raises(BudgetExceededError) as exc:
+            is_exchangeable(x, y, a, u, v, budget=budget, variant=variant)
+        assert exc.value.required == budget + 1
+    for budget in (-1, 0):
+        assert _outcome(x, y, a, u, v, variant, budget) == cold[budget] == \
+            ("budget", 2)
+    assert statespace._exhausted.sizes == [size]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_warm_budgets_give_the_cold_answers_and_raises(n):
+    # the budget half of test_exchangeability_agrees_with_is_exchangeable,
+    # asked again after unbudgeted queries that kept the start's component
+    graphs = [g for g in families.graph_classes(n, connected=True) if g.n == n]
+    ident = tuple(range(n))
+    pairs = list(itertools.combinations(range(n), 2))
+    for g, h in itertools.product(graphs, repeat=2):
+        component = [ident, *statespace.reachable(space_for(g, h, "fs"), ident)]
+        asked = []
+        for u, v in pairs:
+            target = _target(ident, u, v, "fs")
+            if target in component:
+                # the BFS sees this many states up to the target
+                explored = component.index(target)
+                pinned = {explored: True, explored - 1: ("budget", explored)}
+            else:
+                size = len(component)
+                pinned = {size: False, size - 1: ("budget", size)}
+            for budget in {-1, 0, *pinned}:
+                asked.append((u, v, budget, pinned.get(budget)))
+        cold = [_cold(g, h, ident, u, v, budget=budget) for u, v, budget, _ in asked]
+        statespace._exhausted.clear()
+        answers = [is_exchangeable(g, h, ident, u, v) for u, v in pairs]
+        if not all(answers):
+            assert statespace._exhausted.sizes == [len(component)]
+        warm = [_outcome(g, h, ident, u, v, budget=budget) for u, v, budget, _ in asked]
+        assert warm == cold
+        for (u, v, budget, expected), got in zip(asked, warm):
+            if expected is not None and budget > 0:
+                assert got == expected, (g, h, u, v, budget)
+
+
+def test_kept_components_cost_under_100_bytes_a_state():
+    # the 56 queries of one oracle-many repetition
+    x, y = cycle_graph(8), complement(path_graph(8))
+    rng = random.Random(8)
+    queries = [(tuple(rng.sample(range(8), 8)), u, v)
+               for u, v in itertools.combinations(range(8), 2) for _ in range(2)]
+    is_exchangeable(x, y, *queries[0])   # compiles the space's moves
+    statespace._exhausted.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for a, u, v in queries:
+            is_exchangeable(x, y, a, u, v)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    states = len(statespace._exhausted.number)
+    assert states == sum(statespace._exhausted.sizes) >= 4 * 5040
+    assert kept < 100 * states
+
+
+def test_a_miss_above_the_cell_bound_keeps_nothing():
+    # FS(K4,5, C9): 362,880 arrangements; the identity's component has 2,520
+    x, y = complete_bipartite_graph(4, 5), cycle_graph(9)
+    a = tuple(range(9))
+    assert space_for(x, y, "fs").count() * 9 > statespace._MEMO_CELLS
+    with pytest.raises(BudgetExceededError) as exc:
+        is_exchangeable(x, y, a, 0, 1, budget=2519)
+    assert exc.value.required == 2520
+    p3 = path_graph(3)
+    assert not is_exchangeable(p3, p3, (0, 1, 2), 0, 2)
+    memo = statespace._exhausted
+    kept_before = (memo.graphs, dict(memo.number), list(memo.sizes))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert not is_exchangeable(x, y, a, 0, 1, budget=2520)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (memo.graphs, memo.number, memo.sizes) == kept_before
+    assert kept < 1024
 
 
 # -- bridge component invariant ---------------------------------------------------------
