@@ -688,10 +688,10 @@ def is_exchangeable(x, y, a, u: int, v: int, budget: Optional[int] = None,
     a = tuple(a)
     if not space.is_valid(a):
         raise InvalidArrangementError(f"invalid arrangement {a!r}")
-    what, n = ("label", space.y.base.n) if variant == "fs" \
-        else ("position", space.x.n)
+    n = space.y.base.n if variant == "fs" else space.x.n
     for w in (u, v):
         if not isinstance(w, int) or not 0 <= w < n:
+            what = "label" if variant == "fs" else "position"
             raise ValueError(f"{what} {w!r} is not in range({n})")
     if variant == "fs":
         target = tuple(u if t == v else v if t == u else t for t in a)

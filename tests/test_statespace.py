@@ -407,14 +407,21 @@ def test_fs_swapping_the_graphs_keeps_component_sizes(pair):
         sorted(build_components(y, x, variant="fs").component_sizes)
 
 
+def _fsm_spaces():
+    """(X, Y) with total multiplicity |V(X)| <= 6, each label used 1 to 3
+    times."""
+    return (st.lists(st.integers(1, 3), min_size=1, max_size=6)
+            .filter(lambda mult: sum(mult) <= 6)
+            .flatmap(lambda mult: st.tuples(_graphs(sum(mult)), _graphs(len(mult)),
+                                            st.just(tuple(mult))))
+            .map(lambda case: (case[0], MultiplicityGraph(case[1], case[2]))))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 3), min_size=1, max_size=6)
-       .filter(lambda mult: sum(mult) <= 6)
-       .flatmap(lambda mult: st.tuples(_graphs(sum(mult)), _graphs(len(mult)),
-                                       st.just(tuple(mult)))))
+@given(_fsm_spaces())
 def test_quotient_audit_on_random_multiplicities(case):
-    x, base, mult = case
-    assert quotient_audit(x, MultiplicityGraph(base, mult))
+    x, y = case
+    assert quotient_audit(x, y)
 
 
 # -- exchangeability across queries -------------------------------------------------------
@@ -445,14 +452,18 @@ def _queries(starts):
             for u, v in itertools.combinations(range(len(a)), 2)]
 
 
+def _partition_answers(rep, queries, variant="fs"):
+    return [rep.component_of(a) == rep.component_of(_target(a, u, v, variant))
+            for a, u, v in queries]
+
+
 def _assert_warm_answers(x, y, starts, variant):
     """Every pair from every start, asked in turn with the kept components
     of earlier queries, gets the answer of the component partition; so does
     each one asked with nothing kept.  Returns the answers."""
     rep = build_components(x, y, variant=variant)
     queries = _queries(starts)
-    partition = [rep.component_of(a) == rep.component_of(_target(a, u, v, variant))
-                 for a, u, v in queries]
+    partition = _partition_answers(rep, queries, variant)
     statespace._exhausted.clear()
     assert [_outcome(x, y, a, u, v, variant) for a, u, v in queries] == partition
     memo = statespace._exhausted
@@ -475,14 +486,6 @@ def test_kept_components_answer_every_label_pair_on_the_oracle_many_space():
     assert 0 < sum(answers) < len(answers)
 
 
-def _fsm_spaces():
-    return (st.lists(st.integers(1, 3), min_size=1, max_size=6)
-            .filter(lambda mult: sum(mult) <= 6)
-            .flatmap(lambda mult: st.tuples(_graphs(sum(mult)), _graphs(len(mult)),
-                                            st.just(tuple(mult))))
-            .map(lambda case: (case[0], MultiplicityGraph(case[1], case[2]))))
-
-
 @settings(max_examples=40, deadline=None)
 @given(_fsm_spaces(), _fsm_spaces(), st.randoms())
 def test_kept_components_answer_every_position_pair_on_fsm_spaces(one, two, rng):
@@ -494,12 +497,6 @@ def test_kept_components_answer_every_position_pair_on_fsm_spaces(one, two, rng)
 
 def _relabel(g, perm):
     return SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list])
-
-
-def _partition_answers(x, y, queries):
-    rep = build_components(x, y, variant="fs")
-    return [rep.component_of(a) == rep.component_of(_target(a, u, v, "fs"))
-            for a, u, v in queries]
 
 
 def test_kept_components_follow_the_space_they_were_walked_on():
@@ -518,9 +515,9 @@ def test_kept_components_follow_the_space_they_were_walked_on():
         for p, t in enumerate(a):
             b[pos[p]] = lab[t]
         renamed_queries.append((tuple(b), lab[u], lab[v]))
-    a_answers = _partition_answers(*a_graphs, a_queries)
-    b_answers = _partition_answers(*b_graphs, a_queries)
-    assert _partition_answers(*renamed, renamed_queries) == a_answers
+    a_answers = _partition_answers(build_components(*a_graphs), a_queries)
+    b_answers = _partition_answers(build_components(*b_graphs), a_queries)
+    assert _partition_answers(build_components(*renamed), renamed_queries) == a_answers
     # every start misses on both spaces, so each pass keeps its components
     for answers in (a_answers, b_answers):
         assert not all(answers[:15]) and not all(answers[15:])
