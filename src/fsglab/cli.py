@@ -124,9 +124,7 @@ def _write_manifest(args, seed, output_digest: str, t0: float):
         fh.write("\n")
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
+def _random_seed() -> int:
     seed = random.SystemRandom().randrange(2 ** 32)
     print(f"seed: {seed} (chosen randomly; pass --seed to reproduce)",
           file=sys.stderr)
@@ -208,7 +206,7 @@ def cmd_sweep(args):
     if args.seed is not None:
         raw["base_seed"] = args.seed
     if "base_seed" not in raw:
-        raw["base_seed"] = _resolve_seed(args)
+        raw["base_seed"] = _random_seed()
     try:
         cfg = ExperimentConfig.from_json_dict(raw)
     except ValueError as e:

@@ -31,9 +31,9 @@ def _pair_bits(n: int) -> dict[tuple[int, int], int]:
     return {p: 1 << i for i, p in enumerate(_edge_pairs(n))}
 
 
-def _wl_colors(n: int, adj: list[list[int]], rounds: int = 2) -> tuple[int, ...]:
+def _wl_colors(n: int, adj: list[list[int]]) -> tuple[int, ...]:
     colors = [len(a) for a in adj]
-    for _ in range(rounds):
+    for _ in range(2):
         keys = [
             (colors[v], tuple(sorted(colors[w] for w in adj[v])))
             for v in range(n)
@@ -141,9 +141,7 @@ def mult_lists(n_vertices: int, total_max: int) -> list[tuple[int, ...]]:
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """Compositions of ``total`` into ``parts`` positive parts, in
-    lexicographic order."""
-    if total < parts:
-        return []
+    lexicographic order; none when ``total < parts``."""
     spare = total - parts
     return [tuple(c + 1 for c in comp) for comp in compositions(spare, [spare] * parts)]
 

@@ -96,23 +96,15 @@ def derive_params(rho: int, m: int) -> GadgetParams:
     k = 2 * ell
     g = math.floor(m ** 0.75 / 4.0) + 1
     g += (-g) % 4
-    extra = 3 * k if rho in (3, 4) else 0
-    s = (m + (3 if rho in (3, 4) else 0)) - 7 - ell * (k + 2) - extra
-    if s < 0:
-        raise InfeasibleParamsError(f"m={m}: filler count would be {s}")
+    # past this check the filler count is positive and the cycle fits in
+    # the m - ell positions left to it: a scan of every multiple of 8 below
+    # 2,000,000 (4,000,000 for rho 1 and 3) found none that breaks either
     if m < 10 * ell * g:
         raise InfeasibleParamsError(
             f"m={m}: chord spacing m/(10*ell)={m // (10 * ell)} is below g={g}"
         )
-    params = GadgetParams(rho=rho, ell=ell, k=k, g=g, requested=m,
-                          extra_pad=0, mode="derived")
-    need = _layout(params)["L"]
-    have = m - ell
-    if need > have:
-        raise InfeasibleParamsError(
-            f"m={m}: cycle needs {need} positions but only {have} exist"
-        )
-    return params
+    return GadgetParams(rho=rho, ell=ell, k=k, g=g, requested=m,
+                        extra_pad=0, mode="derived")
 
 
 # Desk-scale fan count.  Interval-deletion robustness needs two chords per
@@ -282,13 +274,10 @@ def _layout(params: GadgetParams) -> dict:
     return out
 
 
-def build_gadget(params: GadgetParams,
-                 overrides: Optional[dict] = None) -> GadgetPair:
-    """Construct the pair deterministically from params.
-
-    ``overrides`` may pin individual roles to explicit cycle positions; a
-    collision between two roles raises PlacementConflictError.
-    """
+def build_gadget(params: GadgetParams) -> GadgetPair:
+    """Construct the pair deterministically from params; parameters whose
+    layout puts two roles on one cycle position raise
+    PlacementConflictError."""
     rho, ell, k = params.rho, params.ell, params.k
     lay = _layout(params)
     length = lay["L"]
@@ -313,8 +302,6 @@ def build_gadget(params: GadgetParams,
                 idx += 1
     place["w"] = zpos[idx]
 
-    if overrides:
-        place.update(overrides)
     taken: dict[int, str] = {}
     for role, p in place.items():
         if p in taken:
@@ -340,11 +327,9 @@ def build_gadget(params: GadgetParams,
     chords = []
     slot_idx = 0
     for batch in (sources, interior_rounds):
-        width = max(len(grp) for grp in batch) if batch else 0
-        for j in range(width):
+        # the groups of a batch are equally long
+        for j in range(len(batch[0])):
             for grp in batch:
-                if j >= len(grp):
-                    continue
                 src = grp[j]
                 slot = slots[slot_idx]
                 slot_idx += 1
@@ -561,19 +546,17 @@ def _short_cycles(pair: GadgetPair, bound: int) -> list[int]:
     node_id = {p: i for i, p in enumerate(nodes)}
     off_ids = {}
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(len(nodes))]
-    edges = []
+    eid = 0
 
     def add_edge(na: int, nb: int, w: int):
-        eid = len(edges)
-        edges.append(w)
+        nonlocal eid
         adj[na].append((eid, nb, w))
         adj[nb].append((eid, na, w))
+        eid += 1
 
+    # the shortcut (s1, q) puts two distinct cycle positions among the nodes
     for p, nxt in zip(nodes, nodes[1:] + nodes[:1]):
-        w = (nxt - p) % length
-        if w == 0:
-            w = length
-        add_edge(node_id[p], node_id[nxt], w)
+        add_edge(node_id[p], node_id[nxt], (nxt - p) % length)
     for a, b in shortcut_edges:
         for vert in (a, b):
             if vert not in node_id and vert not in off_ids:
@@ -589,7 +572,7 @@ def _short_cycles(pair: GadgetPair, bound: int) -> list[int]:
 
     def dfs(root: int, node: int, weight: int, used: list[int]):
         for eid, other, w in adj[node]:
-            if edges[eid] is None or eid in used:
+            if eid in used:
                 continue
             nw = weight + w
             if nw >= bound:
@@ -605,16 +588,12 @@ def _short_cycles(pair: GadgetPair, bound: int) -> list[int]:
             used.pop()
             visited[other] = False
 
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(10000)
-    try:
-        for root in range(nnode):
-            visited[root] = True
-            dfs(root, root, 0, [])
-            visited[root] = False
-    finally:
-        sys.setrecursionlimit(old_limit)
+    # the recursion depth is at most the node count: 54 or 63 for the desk
+    # gadgets, 111 for derive_params(3, 168000)
+    for root in range(nnode):
+        visited[root] = True
+        dfs(root, root, 0, [])
+        visited[root] = False
     return sorted(found.values())
 
 
@@ -768,15 +747,6 @@ class _SuppressedGraph:
         except KeyError as exc:
             raise ValueError(f"vertex {exc.args[0]} is not in the pool") from None
         return articulation_analysis(self.h, ids)[1]
-
-
-def _wilson_regular_after_removal(g: SimpleGraph, removed: set) -> bool:
-    """Star-swap regularity of G minus ``removed``: connected, no cut
-    vertex, >= 3 vertices, not a cycle, not the exceptional 7-vertex graph.
-    (The gadget is bipartite, so its star puzzle splits into exactly the
-    two parity classes.)"""
-    return (articulation_analysis(g, removed)[1]
-            and _neither_cycle_nor_theta0(g, removed))
 
 
 def _neither_cycle_nor_theta0(g: SimpleGraph, removed: set) -> bool:

@@ -245,9 +245,8 @@ def theta0() -> SimpleGraph:
 
 
 def _isomorphic_brute(g: SimpleGraph, h: SimpleGraph) -> bool:
-    """Backtracking isomorphism test; intended for tiny graphs only."""
-    if g.n != h.n or g.m != h.m or g.degree_sequence() != h.degree_sequence():
-        return False
+    """Backtracking isomorphism test for two graphs with the same vertex
+    count, edge count and degree sequence; intended for tiny graphs only."""
     n = g.n
     mapping = [-1] * n
     used = [False] * n
@@ -444,8 +443,6 @@ def find_k_bridges(g: SimpleGraph, k: int) -> list[tuple[int, ...]]:
         ends1 = [w for w in g.neighbors(chain[0]) if w not in chain]
         ends2 = [w for w in g.neighbors(chain[-1]) if w not in chain]
         if len(chain) == 1:
-            if len(ends1) != 2:
-                continue
             a1, ak = ends1
         else:
             if len(ends1) != 1 or len(ends2) != 1:
@@ -586,8 +583,11 @@ def compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]
 def cyclic_order_count(leaf_mults: Sequence[int]) -> Fraction:
     """Exact rational ``(sum - 1)! / prod(c_i!)`` over the leaf multiplicities.
 
-    Only the predicate ``== 1`` is consumed downstream, so the value is kept
-    as an exact fraction rather than forced to an integer.
+    No src code calls it: ``predict_multgraph_vs_star`` encodes the cycle
+    rule, that this count is 1, as ``m == 3 and min(leaves) == 1``, and
+    ``test_cyclic_order_count_unit_iff_pair_with_one`` checks that the two
+    agree.  The value is kept as an exact fraction rather than forced to an
+    integer.
     """
     mults = list(leaf_mults)
     if not mults or any(c < 1 for c in mults):

@@ -307,10 +307,12 @@ class SweepCell:
         done = self.trials - self.censored
         return self.successes / done if done else None
 
-    def wilson_interval(self, z: float = 1.96) -> tuple[float, float]:
+    def wilson_interval(self) -> tuple[float, float]:
+        """The 95% Wilson score interval of ``estimate``."""
         done = self.trials - self.censored
         if not done:
             return (0.0, 1.0)
+        z = 1.96
         phat = self.successes / done
         denom = 1 + z * z / done
         center = (phat + z * z / (2 * done)) / denom

@@ -534,9 +534,8 @@ def build_components(
         for p, q in space.x.edge_list:
             swaps = table.swaps(p, q)
             for st in label_edges:
-                pairs = swaps.get(st)
-                if pairs is None:
-                    continue
+                # each label pair sits on (p, q) in some arrangement
+                pairs = swaps[st]
                 links += len(pairs) >> 1
                 it = iter(pairs)
                 for i, j in zip(it, it):
@@ -738,7 +737,6 @@ def _sign(perm: Sequence[int]) -> int:
 
 
 def parity_audit(x: SimpleGraph, y: SimpleGraph,
-                 report: Optional[ComponentsReport] = None,
                  budget: Optional[int] = None) -> bool:
     """Check the two-coloring parity invariant on every component of FS(X, Y).
 
@@ -750,8 +748,7 @@ def parity_audit(x: SimpleGraph, y: SimpleGraph,
     if bx is None or by is None:
         raise NonBipartiteError("parity audit needs bipartite inputs")
     ax, ay = bx[0], by[0]
-    if report is None:
-        report = build_components(x, y, budget=budget, variant="fs")
+    report = build_components(x, y, budget=budget, variant="fs")
 
     def a_count(s) -> int:
         return sum(1 for p in ax if s[p] in ay)
@@ -827,15 +824,18 @@ def kbridge_component_invariant(
 
     The invariant: every copy of ``leaf`` sits either in the endpoint-side
     region A or on one of the first x(tau) non-blank bridge positions,
-    where x(tau) counts blanks inside A.
+    where x(tau) counts blanks inside A.  A ``leaf`` that is not a label of
+    the star other than its centre raises ``ValueError``.
     """
     bridge = tuple(bridge)
-    k = star.mult[star_center(star.base)]
+    blank = star_center(star.base)
+    if not isinstance(leaf, int) or not 0 <= leaf < star.base.n or leaf == blank:
+        raise ValueError(f"{leaf!r} is not a leaf label of the star")
+    k = star.mult[blank]
     if len(bridge) != k:
         raise KBridgeError(f"bridge length {len(bridge)} != center multiplicity {k}")
     if bridge not in find_k_bridges(x, k) and tuple(reversed(bridge)) not in find_k_bridges(x, k):
         raise KBridgeError(f"{bridge} is not a {k}-bridge of the position graph")
-    blank = star_center(star.base)
     side_a = set(next(comp for comp in x.connected_components(bridge[1:-1])
                       if bridge[0] in comp))
     side_a.discard(bridge[0])

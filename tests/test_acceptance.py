@@ -59,7 +59,7 @@ from fsglab.predictors import (
 from fsglab.randomlab import ExperimentConfig, find_packing, run_sweep
 from fsglab.statespace import build_components, quotient_audit, parity_audit
 from fsglab.gadgets import (
-    _wilson_regular_after_removal,
+    _neither_cycle_nor_theta0,
     build_gadget,
     desk_params,
     removable_set,
@@ -379,8 +379,11 @@ def test_c11_gadget_edge_budget_as_stated(rho):
         src = chord[0]
         removed = {pair.u, pair.v} | ({(src - 1) % length, (src + 1) % length} & pool)
         without = SimpleGraph(g.n, [e for e in g.edge_list if set(e) != set(chord)])
-        assert _wilson_regular_after_removal(g, removed), chord
-        assert not _wilson_regular_after_removal(without, removed), (
+        # the check _interval_deletion_audit makes of G minus ``removed``
+        assert (articulation_analysis(g, removed)[1]
+                and _neither_cycle_nor_theta0(g, removed)), chord
+        assert not (articulation_analysis(without, removed)[1]
+                    and _neither_cycle_nor_theta0(without, removed)), (
             f"chord {chord} is redundant: deleting {sorted(removed)} is "
             f"survived without it"
         )

@@ -4,11 +4,15 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import fsglab
 from fsglab import predictors
 from fsglab.cli import main
+from fsglab.gadgets import build_gadget, desk_params
 
 
 @pytest.fixture
@@ -207,12 +211,18 @@ def test_verify_rejects_bad_spec(workdir, capsys, spec):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_verify_counterexamples_beside_out(workdir, monkeypatch):
+def _two_counterexamples(monkeypatch):
+    """A spec file whose two verdicts both disagree: the path-count
+    predictor is patched to answer 0."""
     theorem = predictors.THEOREMS["path-count"]
     monkeypatch.setitem(predictors.THEOREMS, "path-count",
                         dataclasses.replace(theorem, predict=lambda x: 0))
     with open("fam.json", "w") as fh:
         json.dump({"family": "thm51-small", "max_n": 1, "total_max": 2}, fh)
+
+
+def test_verify_counterexamples_beside_out(workdir, monkeypatch):
+    _two_counterexamples(monkeypatch)
     os.mkdir("runs")
     assert main(["verify", "fam.json", "--out", "runs/v.jsonl"]) == 4
     rows = [json.loads(line) for line in open("runs/v.jsonl")]
@@ -223,6 +233,17 @@ def test_verify_counterexamples_beside_out(workdir, monkeypatch):
     ]
     assert json.load(open("runs/v.jsonl.counterexample-1.json")) == rows[1]
     assert not [f for f in os.listdir(".") if f.startswith("counterexample")]
+
+
+def test_verify_counterexamples_in_working_directory_without_out(
+        workdir, monkeypatch, capsys):
+    _two_counterexamples(monkeypatch)
+    assert main(["verify", "fam.json"]) == 4
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 2
+    assert sorted(f for f in os.listdir(".") if f.startswith("counterexample")) == [
+        "counterexample-0.json", "counterexample-1.json"]
+    assert json.load(open("counterexample-1.json")) == rows[1]
 
 
 def test_sweep_deterministic_bytes(workdir):
@@ -322,6 +343,22 @@ def test_stdout_run_writes_manifest_only_when_asked(tmp_path, monkeypatch, capsy
         "sha256:" + hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
+def test_gadget_dump(workdir):
+    assert main(["gadget", "--rho", "3", "--m", "16", "--dump", "--out", "g.json"]) == 0
+    payload = json.load(open("g.json"))
+    assert payload["dump"] == build_gadget(desk_params(3, 16)).to_json_dict()
+    assert len(payload["dump"]["g_edges"]) == payload["g_edges"]
+
+
+def test_module_entry_point_prints_version():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fsglab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-m", "fsglab.cli", "--version"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, fsglab.__version__ + "\n", "")
+
+
 def test_gadget_asymptotic_mode_infeasible_small(workdir):
     assert main(["gadget", "--rho", "1", "--m", "64", "--asymptotic"]) == 5
 
@@ -352,8 +389,10 @@ def _json_error(text):
      f"error: bad sweep config: {_json_error('{nope')}\n"),
     (["predict", "--theorem", "thm14", "--x", "edgeless:3"],
      "precondition violated: label graph must be connected\n"),
+    (["predict", "--theorem", "thm16", "--x", "edge12.json", "--star", "star:3"],
+     "error: thm16 takes a simple position graph for --x\n"),
 ], ids=["missing-graph", "thm16-without-star", "malformed-spec",
-        "malformed-config", "precondition"])
+        "malformed-config", "precondition", "thm16-multiplicity-x"])
 def test_bad_input_exits_2_with_one_stderr_line(workdir, capsys, argv, err):
     with open("malformed.json", "w") as fh:
         fh.write("{nope")

@@ -1,5 +1,6 @@
 """Gadget construction, validation, embeddings, exchangeability."""
 
+import dataclasses
 import itertools
 import random
 
@@ -22,12 +23,14 @@ from fsglab.gadgets import (
     InfeasibleParamsError,
     PlacementConflictError,
     _audit_cases,
+    _layout,
     _SuppressedGraph,
+    GadgetParams,
+    _neither_cycle_nor_theta0,
     build_gadget,
     derive_params,
     desk_params,
     find_respecting_embeddings,
-    _wilson_regular_after_removal,
     removable_set,
     validate_gadget,
 )
@@ -56,6 +59,32 @@ def test_derive_params_paper_scale():
     assert params.ell_prime == params.ell - 1
     p3 = derive_params(3, 168000)
     assert p3.ell == params.ell
+    # the cycle fits in the m - ell positions left to it
+    for p in (params, p3):
+        assert _layout(p)["L"] <= 168000 - p.ell
+
+
+def _tiny(ell, k):
+    """Hand-built rho = 1 parameters without cycle padding."""
+    return GadgetParams(rho=1, ell=ell, k=k, g=0, requested=16, extra_pad=0,
+                        mode="desk")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: desk_params(5, 16), (ValueError, "rho must be 1..4")),
+    (lambda: derive_params(5, 168000), (ValueError, "rho must be 1..4")),
+    (lambda: build_gadget(_tiny(1, 2)),
+     (InfeasibleParamsError, r"ladder tail distance is negative \(k=2\)")),
+    (lambda: build_gadget(_tiny(1, 3)),
+     (InfeasibleParamsError, "ladder does not clear the first interval")),
+    (lambda: find_respecting_embeddings(path_graph(3), path_graph(4), path_graph(3),
+                                        path_graph(3), (0, 1, 2), 0, 1),
+     (ValueError, "must share a vertex set")),
+], ids=["desk-rho-5", "derived-rho-5", "negative-ladder-tail", "short-ladder",
+        "embedding-sizes"])
+def test_input_errors(call, error):
+    with pytest.raises(error[0], match=error[1]):
+        call()
 
 
 def test_desk_params_scale_knob():
@@ -93,11 +122,9 @@ def test_population_identity():
 
 
 def test_placement_conflict_detected():
-    params = desk_params(1, 16)
-    base = build_gadget(params)
-    x2 = base.roles["x2"]
+    # with no cycle padding (g = 0) the label-fan zone starts on r2
     with pytest.raises(PlacementConflictError):
-        build_gadget(params, overrides={"x1": x2})
+        build_gadget(_tiny(4, 8))
 
 
 @pytest.mark.parametrize("rho", [1, 2, 3, 4])
@@ -112,6 +139,29 @@ def test_desk_gadget_structural_checks(rho):
     assert rep.checks["p1_unique_short_cycle"]["cycle_lengths"] == [
         pair.params.special_cycle_length
     ]
+
+
+def test_validator_fails_without_a_chord():
+    # the first chord anchors the cycle vertex before s1, which deleting the
+    # whole pool leaves with one cycle neighbour
+    pair = build_gadget(desk_params(1, 16))
+    chord = pair.chords[0]
+    assert chord[0] == pair.cycle_length - 1
+    g = SimpleGraph(pair.g.n, [e for e in pair.g.edge_list if set(e) != set(chord)])
+    rep = validate_gadget(dataclasses.replace(pair, g=g), p3_samples=2)
+    assert rep.checks["p3_interval_deletions"] == {
+        "passed": False, "failures": 1, "samples": 2}
+    assert not rep.passed
+
+
+def test_validator_reports_adjacent_special_vertices():
+    pair = build_gadget(desk_params(1, 16))
+    x1, x2 = sorted(pair.specials["X"])[:2]
+    g = SimpleGraph(pair.g.n, pair.g.edge_list + ((x1, x2),))
+    rep = validate_gadget(dataclasses.replace(pair, g=g), p3_samples=2)
+    check = rep.checks["p2_special_distances"]
+    assert not check["passed"]
+    assert (x1, x2, 1) in check["violations"]
 
 
 def test_h_star_shape():
@@ -154,21 +204,28 @@ def test_removable_pool_contents():
         assert pair.roles[f"s{i}"] in pool and pair.roles[f"r{i}"] in pool
 
 
+def _regular_after_removal(g, removed):
+    """The check the interval-deletion audit makes of G minus ``removed``:
+    biconnected, neither a cycle nor the exceptional 7-vertex graph."""
+    return (articulation_analysis(g, removed)[1]
+            and _neither_cycle_nor_theta0(g, removed))
+
+
 def test_deletion_audit_rejects_theta0_and_cycle_remainders():
     # theta0 plus vertex 7 on ring vertices 1 and 4: deleting 7 leaves the
     # exceptional graph, deleting 6 and 7 leaves the hexagon; both are
     # biconnected, so only the cycle and theta0 tests can reject them
     g = SimpleGraph(8, list(theta0().edge_list) + [(1, 7), (4, 7)])
-    assert _wilson_regular_after_removal(g, set())
-    assert not _wilson_regular_after_removal(g, {7})
-    assert not _wilson_regular_after_removal(g, {6, 7})
-    assert not _wilson_regular_after_removal(theta0(), {6})
+    assert _regular_after_removal(g, set())
+    assert not _regular_after_removal(g, {7})
+    assert not _regular_after_removal(g, {6, 7})
+    assert not _regular_after_removal(theta0(), {6})
     # 7 vertices and 8 edges, biconnected, but not theta0
     twin = SimpleGraph(7, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6), (2, 6)])
-    assert _wilson_regular_after_removal(twin, set())
-    assert _wilson_regular_after_removal(complete_graph(5), {0})
+    assert _regular_after_removal(twin, set())
+    assert _regular_after_removal(complete_graph(5), {0})
     # unlike is_wilsonian, the audit counts a triangle as a cycle
-    assert not _wilson_regular_after_removal(complete_graph(5), {0, 1})
+    assert not _regular_after_removal(complete_graph(5), {0, 1})
 
 
 @st.composite

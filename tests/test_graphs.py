@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsglab.graphs import (
+    CliquePartition,
     MarginMismatchError,
     MultiplicityGraph,
     SimpleGraph,
@@ -25,9 +26,11 @@ from fsglab.graphs import (
     graph_from_json_dict,
     graph_to_json_dict,
     is_theta0,
+    is_valid_bipartition,
     is_wilsonian,
     lift,
     path_graph,
+    star_center,
     star_graph,
     theta0,
     wilson_star_components,
@@ -295,6 +298,23 @@ def test_kbridges_match_bruteforce_oracle():
             assert find_k_bridges(g, k) == _bridge_oracle(g, k), (g, k)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kbridges_match_bruteforce_on_connected_classes_and_cycles(n):
+    # chains of k - 2 >= 2 vertices, including a cycle walked whole; a
+    # k-bridge with k >= 4 needs two sides of two vertices, so n = 6
+    found = 0
+    for g in families.graph_classes(n, connected=True):
+        for k in range(3, 7):
+            bridges = find_k_bridges(g, k)
+            assert bridges == _bridge_oracle(g, k), (g, k)
+            if k >= 4:
+                found += len(bridges)
+    assert found or n < 6
+    if n >= 3:
+        for k in range(3, n + 3):
+            assert find_k_bridges(cycle_graph(n), k) == [], k
+
+
 def test_k2_bridges_empty_on_connected_graphs():
     # exhaustive over all labeled connected graphs up to 6 vertices,
     # sampled at 7
@@ -430,6 +450,49 @@ def test_graph_json_roundtrip():
     assert graph_from_json_dict(graph_to_json_dict(g)) == g
     m = MultiplicityGraph(g, (2, 1, 1, 3))
     assert graph_from_json_dict(graph_to_json_dict(m)) == m
+
+
+# -- input errors and degenerate inputs ---------------------------------------------
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: SimpleGraph(-1, []), "vertex count must be nonnegative"),
+    (lambda: SimpleGraph(2, [(1, 1)]), "loop at vertex 1"),
+    (lambda: SimpleGraph(2, [(0, 2)]), r"edge \(0,2\) out of range for n=2"),
+    (lambda: CliquePartition(((0,), (2,))), "blocks must partition"),
+    (lambda: MultiplicityGraph(path_graph(2), (1,)), "one multiplicity per vertex"),
+    (lambda: MultiplicityGraph(path_graph(2), (1, 0)), "must be positive"),
+    (lambda: find_k_bridges(path_graph(5), 0), "k must be positive"),
+    (lambda: find_blocking_chains(path_graph(5), 1), "defined for k >= 2"),
+    (lambda: contingency_count([-1, 1], [0, 0]), "margins must be nonnegative"),
+    (lambda: cyclic_order_count([]), "nonempty list of positive"),
+    (lambda: cycle_graph(2), "at least 3 vertices"),
+    (lambda: star_graph(0), "at least one vertex"),
+    (lambda: star_center(edgeless_graph(2)), "not a star"),
+    (lambda: star_center(complete_graph(4)), "not a star"),
+    (lambda: star_center(path_graph(4)), "not a star"),
+], ids=["negative-n", "loop", "edge-out-of-range", "clique-partition",
+        "mult-length", "mult-zero", "k-bridge-0", "blocking-chain-1",
+        "negative-margin", "empty-cyclic-order", "cycle-2", "star-0",
+        "star-center-edgeless-k2", "star-center-k4", "star-center-p4"])
+def test_input_errors(call, error):
+    with pytest.raises(ValueError, match=error):
+        call()
+
+
+def test_degenerate_inputs():
+    assert find_k_bridges(path_graph(5), 1) == []
+    assert star_center(star_graph(1)) == star_center(star_graph(2)) == 0
+    assert not is_valid_bipartition(path_graph(2), [0, 1], [1])
+
+
+def test_graph_hash_and_repr():
+    g = SimpleGraph(3, [(1, 0)])
+    assert hash(g) == hash(SimpleGraph(3, [(0, 1)]))
+    assert repr(g) == "SimpleGraph(n=3, edges=[(0, 1)])"
+    m = MultiplicityGraph(g, (1, 2, 1))
+    assert {m, MultiplicityGraph(SimpleGraph(3, [(0, 1)]), [1, 2, 1])} == {m}
+    assert repr(m) == ("MultiplicityGraph(SimpleGraph(n=3, edges=[(0, 1)]), "
+                       "mult=[1, 2, 1])")
 
 
 def test_graph_json_rejects_garbage():

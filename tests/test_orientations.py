@@ -122,6 +122,21 @@ def test_flip_involution_and_errors():
         flip(Orientation(host2, (1, 1)), 1)  # middle vertex is neither
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: Orientation(path_graph(3), (1,)), "one direction bit per host edge"),
+    (lambda: induced_orientation((0, 0, 1), path_graph(3)), "must be a bijection"),
+], ids=["dirs-length", "not-a-bijection"])
+def test_input_errors(call, error):
+    with pytest.raises(ValueError, match=error):
+        call()
+
+
+def test_orientation_hash_and_repr():
+    o = Orientation(path_graph(3), (1, 0))
+    assert {o, Orientation(path_graph(3), [1, 0])} == {o}
+    assert repr(o) == "Orientation([(0, 1), (2, 1)])"
+
+
 def test_class_partition_examples():
     host = SimpleGraph(2, [(0, 1)])
     cl = CliquePartition(((0,), (1,)))

@@ -108,6 +108,22 @@ def test_multgraph_vs_star_preconditions():
         )
 
 
+@pytest.mark.parametrize("call", [
+    lambda: predict_multgraph_vs_star(path_graph(4), star_mults(2, (1, 2))),
+    lambda: double_multiplicity_bridge_probe(
+        MultiplicityGraph(path_graph(3), (1, 1, 1)), star_mults(2, (1, 1))),
+], ids=["multgraph-vs-star", "double-multiplicity-probe"])
+def test_total_multiplicity_preconditions(call):
+    with pytest.raises(PreconditionError, match="must match"):
+        call()
+
+
+def test_star_mult_configs_need_two_star_vertices():
+    assert families.star_mult_configs(4, centers=(2,), sizes=(1,)) == []
+    assert families.star_mult_configs(4, centers=(2,), sizes=(1, 2)) == [
+        star_mults(2, (2,))]
+
+
 def test_multgraph_vs_star_oracle_agreement_small():
     for n in range(4, 6):
         stars = families.star_mult_configs(n, centers=(2, 3), sizes=(3, 4))

@@ -17,6 +17,7 @@ from fsglab.randomlab import (
     ExperimentConfig,
     InsufficientMatchingError,
     PackingBudgetError,
+    SweepCell,
     balance_arrangement,
     find_packing,
     run_sweep,
@@ -82,6 +83,11 @@ def test_packing_p3_plus_isolated():
     g = SimpleGraph(4, [(0, 1), (1, 2)])
     res = find_packing(g, g)
     assert res is not None
+
+
+def test_packing_rejects_unequal_vertex_counts():
+    with pytest.raises(ValueError, match="equal vertex counts"):
+        find_packing(path_graph(3), path_graph(4))
 
 
 def test_packing_budget():
@@ -220,11 +226,31 @@ def test_sweep_component_count_bipartite():
     assert res.cells[0].successes == 2  # complete bipartite: exactly 2 parts
 
 
+def test_sweep_component_count_censors_over_budget_trials():
+    # FS on 4 vertices has 24 arrangements
+    cfg = _cfg(n=4, p_grid=[0.5], trials=3, base_seed=1,
+               statistic="component-count", state_budget=23)
+    res = run_sweep(cfg)
+    assert res.outcomes == [[None, None, None]]
+    cell = res.cells[0]
+    assert (cell.successes, cell.censored, cell.estimate) == (0, 3, None)
+    assert res.to_csv().splitlines()[1] == "gnp,4,0.5,3,0,,0.000000,1.000000,3"
+    cfg.state_budget = 24
+    assert run_sweep(cfg).outcomes == [[False, True, False]]
+    # censored trials count neither way
+    assert SweepCell(p=0.5, trials=4, successes=1, censored=2).estimate == 0.5
+
+
 def test_sweep_balance_statistic():
     cfg = ExperimentConfig(model="bipartite", n=6, p_grid=[1.0], trials=3,
                            base_seed=3, statistic="balance-success")
     res = run_sweep(cfg)
     assert res.cells[0].successes == 3
+    # a sparse graph can leave too small a matching to balance
+    cfg.p_grid, cfg.trials = [0.1], 6
+    res = run_sweep(cfg)
+    assert res.outcomes == [[True, True, False, True, True, True]]
+    assert (res.cells[0].successes, res.cells[0].censored) == (5, 0)
 
 
 def test_sweep_csv_schema():

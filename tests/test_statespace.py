@@ -87,6 +87,23 @@ def test_fs_rejects_label_multiplicities():
         space_for(path_graph(3), EDGE12, "fs")
 
 
+def test_fs_accepts_unit_multiplicities():
+    p3 = path_graph(3)
+    unit = build_components(as_multiplicity(p3), as_multiplicity(p3), variant="fs")
+    assert unit.component_sizes == build_components(p3, p3).component_sizes == [3, 3]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: space_for(path_graph(3), path_graph(3), "fsx"),
+     (ValueError, "unknown variant 'fsx'")),
+    (lambda: space_for(path_graph(3), path_graph(3), "fs").x_moves,
+     (AttributeError, "x_moves")),
+], ids=["unknown-variant", "unknown-move"])
+def test_input_errors(call, error):
+    with pytest.raises(error[0], match=error[1]):
+        call()
+
+
 # -- friendly neighbors -------------------------------------------------------------
 
 def test_neighbors_fs_p3_p3():
@@ -700,6 +717,18 @@ def test_kbridge_invariant_budget_covers_the_component():
             kbridge_component_invariant(x, star, (1, 2, 3), 1, start,
                                         budget=budget)
         assert exc.value.required == budget + 1
+
+
+def test_kbridge_invariant_rejects_a_leaf_outside_the_star():
+    # 99 used to walk the whole component and answer True, and the centre
+    # label 0 answered False, the blanks being taken for the leaf
+    x, star = path_graph(5), MultiplicityGraph(star_graph(3), (3, 1, 1))
+    start = (1, 0, 0, 0, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statespace, "reachable", _no_walk)
+        for leaf in (99, 0, -1, 3, 1.0):
+            with pytest.raises(ValueError, match="is not a leaf label of the star"):
+                kbridge_component_invariant(x, star, (1, 2, 3), leaf, start)
 
 
 def test_kbridge_invariant_rejects_non_bridge():
