@@ -9,7 +9,14 @@ Three variants share one interface, served by two space classes:
 * ``fsmm`` -- ``FSmmSpace``: both sides carry multiplicities; arrangements
   are count matrices (rows = labels, columns = positions).
 
-Arrangements are plain tuples so they hash cheaply into dense index tables.
+Arrangements are plain tuples.  Each also has an int code, its entries
+read as one base-256 number (``code``, ``codes``): an fs/fsm arrangement's
+labels with position 0 most significant, ``int.from_bytes(bytes(a),
+"big")``; an fsmm arrangement's cells row by row, ``width`` bytes a cell,
+so that a cell above 255 neither raises nor collides.  Every index of
+arrangements is keyed by these codes, which cost less than a tuple: an
+FS(K4,5, C9) build peaks at about 148 B per state, against 222 B with
+tuple keys.
 
 Two traversals answer every reachability question, and nothing else here
 walks a state space:
@@ -26,52 +33,64 @@ walks a state space:
 
 ``is_exchangeable`` asks ``reachable`` and keeps what a miss walked: on
 spaces of at most 8! x 8 cells (arrangements times positions) it numbers
-each component that a BFS exhausted and keeps them for the last space that
-had one.  A later query on that space from a kept component answers by
-lookup when its budget covers the component, which the BFS would also have
-walked without raising; every other query walks as before.  Asking every
-label pair of FS(C8, complement of P8) thus walks each of its 8 components
-of 5,040 arrangements at most once, for about 75 B kept per arrangement.
+each component that a BFS exhausted, by the codes of its arrangements, and
+keeps them for the last space that had one.  A later query on that space
+from a kept component answers by lookup when its budget covers the
+component, which the BFS would also have walked without raising; every
+other query walks as before.  Asking every label pair of FS(C8, complement
+of P8) thus walks each of its 8 components of 5,040 arrangements at most
+once, for about 68 B kept per arrangement (74 B when keyed by bytes).
 
-Every move has an inverse, so the links of a space are undirected.  Each
-space class lists all of an arrangement's neighbours (``neighbors``) and,
-separately, only those reached by a *forward* move (``forward_neighbors``):
-in fs/fsm a swap across the X-edge (p, q), p < q, that moves the smaller
-label from p to q; in fsmm, for an X-edge (u, v) and a Y-edge (y1, y2), a
-move of a copy of u from y1 to y2 against a copy of v from y2 to y1.  The
-reverse of a forward move is not forward, and no two moves from one
-arrangement reach the same neighbour, so every undirected link is produced
-exactly once, from one of its two ends.  ``build_components`` unions
-forward neighbours only, so it sees each link once and its ``edge_count``
-is the number of forward moves.
+Every move has an inverse, so the links of a space are undirected.  A
+*forward* move is, in fs/fsm, a swap across the X-edge (p, q), p < q, that
+moves the smaller label from p to q; in fsmm, for an X-edge (u, v) and a
+Y-edge (y1, y2), a move of a copy of u from y1 to y2 against a copy of v
+from y2 to y1.  The reverse of a forward move is not forward, and no two
+moves from one arrangement reach the same neighbour, so every undirected
+link is exactly one forward move, from one of its two ends.
+``build_components`` makes forward moves only, so it sees each link once
+and its ``edge_count`` is the number of forward moves.
 
-The three move functions are generated Python, one source per function
-and X shape (fsmm: X and Y shape), cached and formatted from integers
-only.  The code unpacks the arrangement once, tests each move on named
-entries and builds each neighbour as a tuple display, with no loop over
-the edges.  A space generates a function on its first use, not when it is
-built: the table path below never lists a move, and a benchmark repetition
-builds about 2,000 such spaces.  Compiling costs about 1 ms a function.
+Each space has three move functions, generated Python, one source per
+function and X shape (fsmm: X and Y shape), cached and formatted from
+integers only, with no loop over the edges:
+
+* ``neighbors(a)`` and ``fresh_neighbors(a, seen)`` unpack the tuple once,
+  test each move on named entries and build each neighbour as a tuple
+  display;
+* ``union_links(index, parent)`` walks the index's codes in rank order,
+  unpacks each with one ``to_bytes``, tests each forward move on named
+  entries, computes the neighbour's code arithmetically (fs/fsm
+  ``c + (a_q - a_p) * (256**(n-1-p) - 256**(n-1-q))``, fsmm ``c`` plus a
+  constant per move) and unions the two ranks.  The fsmm kernel first
+  collects a state's neighbour codes and unions them in one loop: it runs
+  slower but compiles in a third of the time, and most fsmm spaces are
+  small.
+
+A space generates a function on its first use, not when it is built: the
+table path below never makes a move, and a benchmark repetition builds
+about 2,000 such spaces.  Compiling costs about 1 ms a function.
 
 ``build_components`` reads the moves from one of two link sources:
 
 * fs/fsm spaces with at most ``_TABLE_STATES`` = 7! arrangements use the
-  ``_StateTable`` of their label counts: an arrangement-to-rank index and,
-  per position pair, the rank pairs of every swap, keyed by the two labels.
+  ``_StateTable`` of their label counts: a code-to-rank index and, per
+  position pair, the rank pairs of every swap, keyed by the two labels.
   The table depends only on the counts, so every space with them shares
-  one, relabelled inputs included, and a call builds no tuple and looks up
+  one, relabelled inputs included, and a call makes no move and looks up
   no arrangement: it unions the rank pairs of each X-edge and Y-edge.
-* Larger spaces, and fsmm, rank their arrangements in a dict of their own
-  and hash each forward neighbour into it.
+* Larger spaces, and fsmm, rank the codes of their arrangements in a dict
+  of their own and call ``union_links``.
 
 Either way the union-find parents, and then the component ids, are a list
 in enumeration order, read through the index, which no call writes.  The
 list starts as the index's values, so it holds the index's own rank ints:
 8 B an entry, as an ``array('l')`` would cost, but a read allocates
-nothing.  Larger tables are not kept: a cached table outlives its report,
-and FS(K4,5, C9) would hold its whole index of 362,880 tuples (about
-68 MB) for the life of the process.  At the bound a table holds 0.7 MB, or
-1.2 MB with the swaps of all 21 position pairs.
+nothing.  A report keeps its index and ids, about 130 B per state for
+FS(K4,5, C9), and reads an arrangement as ``ids[index[code(a)]]``; its
+iteration enumerates the space again.  Larger tables are not kept: a
+cached table outlives its report.  At the bound a table holds 0.44 MB,
+or 0.95 MB with the swaps of all 21 position pairs.
 """
 
 from __future__ import annotations
@@ -81,7 +100,7 @@ import itertools
 import json
 import math
 from array import array
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -119,7 +138,7 @@ class InvalidArrangementError(ValueError):
 
 # -- moves --------------------------------------------------------------------
 
-_MOVES = ("neighbors", "forward_neighbors", "fresh_neighbors")
+_MOVES = ("neighbors", "fresh_neighbors", "union_links")
 
 
 class _GeneratedMoves:
@@ -137,24 +156,65 @@ def _tuple(names: Sequence[str]) -> str:
     return "(" + "".join(name + ", " for name in names) + ")"
 
 
-def _compile_move(name: str, unpack: Sequence[str], moves: Sequence[tuple]):
+def _unpack_code(names: Sequence[str], width: int) -> list[str]:
+    """Statements that name the entries of the arrangement coded ``c``,
+    ``width`` bytes an entry."""
+    if width == 1:
+        return [_tuple(names) + f" = c.to_bytes({len(names):d}, 'big')"]
+    return [f"d = c.to_bytes({len(names) * width:d}, 'big')"] + [
+        f"{name} = int.from_bytes(d[{k * width:d}:{(k + 1) * width:d}], 'big')"
+        for k, name in enumerate(names)]
+
+
+def _compile_move(name: str, unpack: Sequence[str], moves: Sequence[tuple],
+                  inline: bool = True):
     """Compile ``bind(m)``, which returns the ``_MOVES`` function ``name``.
 
-    ``unpack`` are statements that name the parts of an arrangement ``a``,
-    and each move is (test, forward, new arrangement), expressions over
-    those names and ``m``.  ``forward_neighbors`` makes the forward moves
-    whose test holds, the other two every move whose test holds."""
-    fresh = name == "fresh_neighbors"
-    body = [(test, b) for test, forward, b in moves
-            if forward or name != "forward_neighbors"]
-    src = ["def bind(m):", f" def {name}(a{', seen' if fresh else ''}):"]
-    src += ["  " + line for line in unpack] if body else []
-    src.append("  out = []")
-    for test, b in body:
-        src.append(f"  if {test}:")
-        src += [f"   b = {b}", "   if b not in seen:", "    seen.add(b)",
-                "    out.append(b)"] if fresh else [f"   out.append({b})"]
-    src += ["  return out", f" return {name}"]
+    ``unpack`` are statements that name the parts of an arrangement: of the
+    tuple ``a``, or for ``union_links`` of the code ``c``.  Each move is
+    (test, forward, new arrangement, code delta), expressions over those
+    names and ``m``.  ``neighbors`` and ``fresh_neighbors`` make every move
+    whose test holds.
+
+    ``union_links(index, parent)`` walks ``index`` (code -> rank) in rank
+    order, makes the forward moves whose test holds, unions the ranks of
+    their two ends in ``parent`` and returns the number of moves made.
+    With ``inline`` each move unions in place; otherwise the moves collect
+    the neighbours' codes and one loop unions them, which runs slower but
+    compiles in about a third of the time."""
+    if name == "union_links":
+        union = ["while parent[rb] != rb:", " parent[rb] = rb = parent[parent[rb]]",
+                 "if ra < rb:", " parent[rb] = ra",
+                 "elif rb < ra:", " parent[ra] = ra = rb"]
+        root = ["while parent[ra] != ra:", " parent[ra] = ra = parent[parent[ra]]"]
+        body = [(test, delta) for test, forward, _, delta in moves if forward]
+        loop = list(unpack)
+        if inline:
+            loop += root
+            for test, delta in body:
+                loop += [f"if {test}:", f" rb = index[c + {delta}]", " links += 1"]
+                loop += [" " + line for line in union]
+        else:
+            loop.append("nb = []")
+            for test, delta in body:
+                loop += [f"if {test}:", f" nb.append(c + {delta})"]
+            loop += ["if nb:", " links += len(nb)"] + [" " + line for line in root]
+            loop += [" for rb in nb:", "  rb = index[rb]"]
+            loop += ["  " + line for line in union]
+        src = ["def bind(m):", " def union_links(index, parent):", "  links = 0",
+               "  for c, ra in index.items():"]
+        src += ["   " + line for line in loop]
+        src += ["  return links", " return union_links"]
+    else:
+        fresh = name == "fresh_neighbors"
+        src = ["def bind(m):", f" def {name}(a{', seen' if fresh else ''}):"]
+        src += ["  " + line for line in unpack] if moves else []
+        src.append("  out = []")
+        for test, _, b, _ in moves:
+            src.append(f"  if {test}:")
+            src += [f"   b = {b}", "   if b not in seen:", "    seen.add(b)",
+                    "    out.append(b)"] if fresh else [f"   out.append({b})"]
+        src += ["  return out", f" return {name}"]
     namespace: dict = {}
     exec(compile("\n".join(src), "<moves>", "exec"), namespace)
     return namespace["bind"]
@@ -165,38 +225,49 @@ def _fs_moves(name: str, n: int, edges: tuple[tuple[int, int], ...]):
     """The moves of every fs/fsm space on n positions with X-edges ``edges``:
     a swap across (p, q) when ``m[s][t]`` is 1 for the labels s = a[p] and
     t = a[q].  A position at the lower end of several X-edges reads its
-    label's row once."""
+    label's row once.  The swap adds (t - s) * (256**(n-1-p) - 256**(n-1-q))
+    to the arrangement's code."""
     names = [f"a{i:d}" for i in range(n)]
     lower = [p for p, _ in edges]
     rows = {p: f"m{p:d}" for p in lower if lower.count(p) > 1}
-    unpack = [_tuple(names) + " = a"] + [
-        f"{row} = m[a{p:d}]" for p, row in rows.items()]
+    unpack = _unpack_code(names, 1) if name == "union_links" else \
+        [_tuple(names) + " = a"]
+    unpack += [f"{row} = m[a{p:d}]" for p, row in rows.items()]
     moves = []
     for p, q in edges:
         b = list(names)
         b[p], b[q] = b[q], b[p]
-        moves.append((f"{rows.get(p, f'm[a{p:d}]')}[a{q:d}]", True, _tuple(b)))
+        weight = 256 ** (n - 1 - p) - 256 ** (n - 1 - q)
+        moves.append((f"{rows.get(p, f'm[a{p:d}]')}[a{q:d}]", True, _tuple(b),
+                      f"(a{q:d} - a{p:d}) * {weight:d}"))
     return _compile_move(name, unpack, moves)
 
 
 @functools.lru_cache(maxsize=128)
 def _fsmm_moves(name: str, nx: int, x_edges: tuple[tuple[int, int], ...], ny: int,
-                y_edges: tuple[tuple[int, int], ...]):
+                y_edges: tuple[tuple[int, int], ...], width: int):
     """The moves of every fsmm space with these X and Y base graphs: for an
     X-edge (u, v) and a Y-edge (y1, y2), a copy of u moves from y1 to y2
     against a copy of v back (forward), then the reverse.  Entry ``c{u}_{y}``
-    of row ``r{u}`` counts the copies of u on y."""
+    of row ``r{u}`` counts the copies of u on y, and is the digit of weight
+    256**(width * (nx*ny - 1 - (u*ny + y))) in the arrangement's code."""
     rows = [f"r{u:d}" for u in range(nx)]
-    cells = {u: [f"c{u:d}_{k:d}" for k in range(ny)]
-             for u in sorted({u for e in x_edges for u in e})}
-    unpack = [_tuple(rows) + " = a"] + [
-        _tuple(cells[u]) + f" = r{u:d}" for u in cells]
+    cells = [[f"c{u:d}_{k:d}" for k in range(ny)] for u in range(nx)]
+    if name == "union_links":
+        unpack = _unpack_code([cell for row in cells for cell in row], width)
+    else:
+        unpack = [_tuple(rows) + " = a"] + [
+            _tuple(cells[u]) + f" = r{u:d}"
+            for u in sorted({u for e in x_edges for u in e})]
 
     def shift(u, src, dst):
         row = list(cells[u])
         row[src] += " - 1"
         row[dst] += " + 1"
         return _tuple(row)
+
+    def weight(u, k):
+        return 256 ** (width * (nx * ny - 1 - (u * ny + k)))
 
     moves = []
     for u, v in x_edges:
@@ -205,9 +276,13 @@ def _fsmm_moves(name: str, nx: int, x_edges: tuple[tuple[int, int], ...], ny: in
                 b = list(rows)
                 b[u] = shift(u, src, dst)
                 b[v] = shift(v, dst, src)
+                delta = weight(u, dst) - weight(u, src) \
+                    + weight(v, src) - weight(v, dst)
                 moves.append((f"{cells[u][src]} and {cells[v][dst]}",
-                               src == y1, _tuple(b)))
-    return _compile_move(name, unpack, moves)
+                               src == y1, _tuple(b), f"({delta:d})"))
+    # most fsmm spaces are small (a probe space has about 23 arrangements),
+    # so compiling costs more than the unions
+    return _compile_move(name, unpack, moves, inline=False)
 
 
 # -- spaces -------------------------------------------------------------------
@@ -236,6 +311,17 @@ class FSmSpace(_GeneratedMoves):
     def enumerate(self) -> Iterator[tuple[int, ...]]:
         return _label_vectors(self.y.mult)
 
+    def codes(self) -> Iterator[int]:
+        return _byte_codes(self.enumerate())
+
+    def code(self, a: Sequence[int]) -> int:
+        """``a`` read as a base-256 number, position 0 most significant.
+        Its labels are bytes: a space with 256 labels or more has at least
+        256! arrangements, so none is ever indexed."""
+        if len(a) != self.x.n:
+            raise ValueError(f"arrangement {a!r} has {len(a)} positions")
+        return int.from_bytes(bytes(a), "big")
+
     def is_valid(self, a: Sequence[int]) -> bool:
         counts = [0] * self.y.base.n
         for lab in a:
@@ -248,7 +334,7 @@ class FSmSpace(_GeneratedMoves):
         # row s holds a 1 at each label t adjacent to s in Y; for the forward
         # moves only at t > s
         y = self.y.base
-        both = name != "forward_neighbors"
+        both = name != "union_links"
         m = [[int((s, t) in y.edges or both and (t, s) in y.edges)
               for t in range(y.n)] for s in range(y.n)]
         return _fs_moves(name, self.x.n, self.x.edge_list)(m)
@@ -270,36 +356,63 @@ class FSmmSpace(_GeneratedMoves):
             )
         self.x = x
         self.y = y
+        # bytes a cell: a cell is at most its column's multiplicity
+        self.width = (max(y.mult, default=0).bit_length() + 7) // 8 or 1
 
     def count(self) -> int:
         return contingency_count(self.x.mult, self.y.mult)
 
     def enumerate(self) -> Iterator[tuple[tuple[int, ...], ...]]:
+        return self._fill(lambda row, weight: (row,), ())
+
+    def codes(self) -> Iterator[int]:
+        return self._fill(lambda row, weight: int.from_bytes(
+            self._row_bytes(row), "big") * weight, 0)
+
+    def code(self, a) -> int:
+        """The cells of ``a`` row by row, read as a number in base
+        256**width, the first cell most significant."""
+        if len(a) != self.x.base.n or any(len(row) != self.y.base.n for row in a):
+            raise ValueError(f"arrangement {a!r} is not {self.x.base.n} rows "
+                             f"of {self.y.base.n} cells")
+        return int.from_bytes(b"".join(map(self._row_bytes, a)), "big")
+
+    def _row_bytes(self, row: Sequence[int]) -> bytes:
+        w = self.width
+        if w == 1:
+            return bytes(row)
+        return b"".join(int.to_bytes(cell, w, "big") for cell in row)
+
+    def _fill(self, part, empty):
+        """Every arrangement in enumeration order, as the sum from ``empty``
+        of ``part(row, weight)`` over its rows, where ``weight`` is the
+        weight of the row's last cell in the arrangement's code."""
         rows = self.x.mult
-        # the rows that fit row i under each column room, with the room left;
-        # many prefixes leave the same room
+        row_base = 256 ** (self.width * self.y.base.n)
+        # the parts of the rows that fit row i under each column room, with
+        # the room left; many prefixes leave the same room
         options: dict = {}
 
-        def fill(i: int, room: tuple[int, ...], acc: list[tuple[int, ...]]):
+        def fill(i: int, room: tuple[int, ...], acc):
             if i == len(rows):
-                yield tuple(acc)
+                yield acc
                 return
             opts = options.get((i, room))
             if opts is None:
+                weight = row_base ** (len(rows) - 1 - i)
                 opts = options[i, room] = [
-                    (row, tuple(r - v for r, v in zip(room, row)))
+                    (part(row, weight), tuple(r - v for r, v in zip(room, row)))
                     for row in compositions(rows[i], room)
                 ]
-            for row, left in opts:
-                acc.append(row)
-                yield from fill(i + 1, left, acc)
-                acc.pop()
+            for p, left in opts:
+                yield from fill(i + 1, left, acc + p)
 
-        return fill(0, self.y.mult, [])
+        return fill(0, self.y.mult, empty)
 
     def _moves(self, name: str):
         x, y = self.x.base, self.y.base
-        return _fsmm_moves(name, x.n, x.edge_list, y.n, y.edge_list)(None)
+        return _fsmm_moves(name, x.n, x.edge_list, y.n, y.edge_list,
+                           self.width)(None)
 
 
 def _label_vectors(mult: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -308,6 +421,11 @@ def _label_vectors(mult: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     if all(k == 1 for k in mult):
         return itertools.permutations(range(len(mult)))
     return _multiset_permutations(mult)
+
+
+def _byte_codes(arrangements) -> Iterator[int]:
+    """``FSmSpace.code`` of each of ``arrangements``, one C call chain each."""
+    return map(int.from_bytes, map(bytes, arrangements), itertools.repeat("big"))
 
 
 def _multiset_permutations(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -431,26 +549,49 @@ def _id_members(component_id: Mapping) -> Iterator[str]:
 
 
 class _ComponentIds(Mapping):
-    """Arrangement -> component id, read as ``ids[index[a]]``.
+    """Arrangement -> component id, read as ``ids[index[space.code(a)]]``.
 
-    ``index`` ranks the arrangements in enumeration order and may be shared
-    with other reports, so nothing writes to it; ``ids`` holds the component
-    ids in that order."""
+    ``index`` ranks the codes of the arrangements in enumeration order and
+    may be shared with other reports, so nothing writes to it; ``ids`` holds
+    the component ids in that order.  Iteration enumerates the space
+    again."""
 
-    __slots__ = ("index", "ids")
+    __slots__ = ("space", "index", "ids")
 
-    def __init__(self, index: dict, ids: list):
+    def __init__(self, space, index: dict, ids: list):
+        self.space = space
         self.index = index
         self.ids = ids
 
     def __getitem__(self, a) -> int:
-        return self.ids[self.index[a]]
+        try:
+            code = self.space.code(a)
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(a) from None
+        return self.ids[self.index[code]]
 
     def __iter__(self):
-        return iter(self.index)
+        return self.space.enumerate()
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def items(self):
+        return _IdItems(self)
+
+    def coded(self) -> Iterator[tuple[int, int]]:
+        """(code, component id) of every arrangement, in enumeration order."""
+        return zip(self.index, self.ids)
+
+
+class _IdItems(ItemsView):
+    """Pairs each enumerated arrangement with the next id, looking up
+    nothing."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.ids)
 
 
 # fs/fsm spaces with at most this many arrangements (7!) read their links
@@ -462,18 +603,20 @@ class _StateTable:
     """The arrangements with label counts ``mult`` and their swaps, shared
     read-only by every fs/fsm space with those counts.
 
-    ``index`` maps each arrangement to its enumeration rank.  ``swaps(p, q)``
-    maps each label pair (s, t), s < t, to a flat array of rank pairs
-    (i, j): arrangement i holds s on position p and t on q, and j is i with
-    those two entries swapped.  For an X-edge (p, q), p < q, and a Y-edge
-    (s, t) these are the forward moves of ``FSmSpace.forward_neighbors``.
-    Nothing here depends on X or Y.
+    ``index`` maps the code (``FSmSpace.code``) of each arrangement to its
+    enumeration rank.  ``swaps(p, q)`` maps each label pair (s, t), s < t,
+    to a flat array of rank pairs (i, j): arrangement i holds s on position
+    p and t on q, and j is i with those two entries swapped.  For an X-edge
+    (p, q), p < q, and a Y-edge (s, t) these are the forward moves of
+    ``FSmSpace.union_links``.  Nothing here depends on X or Y.
     """
 
-    __slots__ = ("index", "_swaps")
+    __slots__ = ("index", "_n", "_swaps")
 
     def __init__(self, mult: tuple[int, ...]):
-        self.index = {a: i for i, a in enumerate(_label_vectors(mult))}
+        self.index = dict(zip(_byte_codes(_label_vectors(mult)),
+                              itertools.count()))
+        self._n = sum(mult)
         self._swaps: dict = {}
 
     def swaps(self, p: int, q: int) -> dict:
@@ -481,18 +624,18 @@ class _StateTable:
         if by_labels is None:
             by_labels = self._swaps[p, q] = {}
             index = self.index
-            for a, i in index.items():
+            n = self._n
+            weight = 256 ** (n - 1 - p) - 256 ** (n - 1 - q)
+            for c, i in index.items():
+                a = c.to_bytes(n, "big")
                 s = a[p]
                 t = a[q]
                 if s < t:
-                    b = list(a)
-                    b[p] = t
-                    b[q] = s
                     pairs = by_labels.get((s, t))
                     if pairs is None:
                         pairs = by_labels[s, t] = array("i")
                     pairs.append(i)
-                    pairs.append(index[tuple(b)])
+                    pairs.append(index[c + (t - s) * weight])
         return by_labels
 
 
@@ -521,15 +664,15 @@ def build_components(
         index = table.index
     else:
         table = None
-        index = dict(zip(space.enumerate(), itertools.count()))
+        index = dict(zip(space.codes(), itertools.count()))
     # union-find over enumeration ranks, allocated after the index so that it
     # does not add to the index's peak, and holding the index's own rank
     # ints; the smaller root wins, so every root is its component's first
     # arrangement and parent[i] <= i
     parent = list(index.values())
-    links = 0
     if table is not None:
         # rank pairs from the shared table, per X-edge and Y-edge
+        links = 0
         label_edges = space.y.base.edge_list
         for p, q in space.x.edge_list:
             swaps = table.swaps(p, q)
@@ -549,26 +692,7 @@ def build_components(
                     elif j < i:
                         parent[i] = j
     else:
-        # forward neighbours of each arrangement, ranked by this call's index
-        forward = space.forward_neighbors
-        for a, i in index.items():
-            nbrs = forward(a)
-            if not nbrs:
-                continue
-            links += len(nbrs)
-            # _UnionFind.union(i, index[b]) inlined, with the root of i kept
-            ra = i
-            while parent[ra] != ra:
-                parent[ra] = ra = parent[parent[ra]]
-            for b in nbrs:
-                rb = index[b]
-                while parent[rb] != rb:
-                    parent[rb] = rb = parent[parent[rb]]
-                if ra < rb:
-                    parent[rb] = ra
-                elif rb < ra:
-                    parent[ra] = rb
-                    ra = rb
+        links = space.union_links(index, parent)
     # one pass in enumeration order overwrites each entry with its id
     sizes: list[int] = []
     for i, p in enumerate(parent):
@@ -584,7 +708,7 @@ def build_components(
         component_sizes=sizes,
         vertex_count=total,
         edge_count=links,
-        component_id=_ComponentIds(index, parent),
+        component_id=_ComponentIds(space, index, parent),
     )
 
 
@@ -622,12 +746,9 @@ _MEMO_CELLS = math.factorial(8) * 8
 class _ExhaustedComponents:
     """The components that ``is_exchangeable`` walked to exhaustion on the
     last space that had one, keyed by its graphs ``(space.x, space.y)``:
-    ``number`` maps each of their arrangements, as bytes, to its
-    component's number, and ``sizes`` holds each component's size.
-
-    A space within ``_MEMO_CELLS`` has at most 8 labels, since it has an
-    arrangement for every order of its labels, so bytes hold an
-    arrangement exactly and in less room than a tuple."""
+    ``number`` maps the code (``FSmSpace.code``) of each of their
+    arrangements to its component's number, and ``sizes`` holds each
+    component's size."""
 
     __slots__ = ("graphs", "number", "sizes")
 
@@ -639,22 +760,23 @@ class _ExhaustedComponents:
         self.number: dict = {}
         self.sizes: list[int] = []
 
-    def answer(self, graphs, a, target, budget: Optional[int]):
-        """Whether ``target`` is in the component of ``a``, when that
-        component is kept for ``graphs`` and ``budget`` covers it; else
-        None."""
+    def answer(self, graphs, a: int, target: int, budget: Optional[int]):
+        """Whether the arrangement coded ``target`` is in the component of
+        the one coded ``a``, when that component is kept for ``graphs`` and
+        ``budget`` covers it; else None."""
         if graphs != self.graphs:
             return None
-        number = self.number.get(bytes(a))
+        number = self.number.get(a)
         if number is None or budget is not None and self.sizes[number] > budget:
             return None
-        return self.number.get(bytes(target)) == number
+        return self.number.get(target) == number
 
     def add(self, graphs, component: list) -> None:
+        """Keep ``component``, a list of arrangements, for ``graphs``."""
         if graphs != self.graphs:
             self.clear()
             self.graphs = graphs
-        self.number.update(zip(map(bytes, component),
+        self.number.update(zip(_byte_codes(component),
                                itertools.repeat(len(self.sizes))))
         self.sizes.append(len(component))
 
@@ -703,7 +825,7 @@ def is_exchangeable(x, y, a, u: int, v: int, budget: Optional[int] = None,
     if space.count() * space.x.n > _MEMO_CELLS:
         return any(s == target for s in reachable(space, a, budget))
     graphs = (space.x, space.y)
-    kept = _exhausted.answer(graphs, a, target, budget)
+    kept = _exhausted.answer(graphs, space.code(a), space.code(target), budget)
     if kept is not None:
         return kept
     component = [a]
@@ -753,10 +875,11 @@ def parity_audit(x: SimpleGraph, y: SimpleGraph,
     def a_count(s) -> int:
         return sum(1 for p in ax if s[p] in ay)
 
-    reps: dict[int, tuple] = {}
+    reps: dict[int, bytes] = {}
     rep_inv: dict[int, list[int]] = {}
     rep_cnt: dict[int, int] = {}
-    for a, cid in report.component_id.items():
+    for c, cid in report.component_id.coded():
+        a = c.to_bytes(x.n, "big")
         if cid not in reps:
             inv = [0] * len(a)
             for p, lab in enumerate(a):
@@ -781,12 +904,14 @@ def quotient_audit(x: SimpleGraph, y: MultiplicityGraph,
     lifted, cliques = lift(y)
     lifted_report = build_components(x, lifted, budget=budget, variant="fs")
     # glue components holding equal block projections (label permutations
-    # within blocks)
-    block_of = cliques.block_of
+    # within blocks); a projection is the arrangement's bytes translated
+    # lifted label -> block, and so the bytes of an fsm arrangement
+    n = x.n
+    blocks = bytes(cliques.block_of).ljust(256, b"\0")
     uf = _UnionFind(lifted_report.component_count)
-    groups: dict[tuple[int, ...], int] = {}
-    for a, cid in lifted_report.component_id.items():
-        proj = tuple(block_of[lab] for lab in a)
+    groups: dict[bytes, int] = {}
+    for c, cid in lifted_report.component_id.coded():
+        proj = c.to_bytes(n, "big").translate(blocks)
         if proj in groups:
             uf.union(cid, groups[proj])
         else:
@@ -798,8 +923,8 @@ def quotient_audit(x: SimpleGraph, y: MultiplicityGraph,
 
     direct = build_components(x, y, budget=budget, variant="fsm")
     direct_parts: dict[int, set] = {}
-    for a, cid in direct.component_id.items():
-        direct_parts.setdefault(cid, set()).add(a)
+    for c, cid in direct.component_id.coded():
+        direct_parts.setdefault(cid, set()).add(c.to_bytes(n, "big"))
     direct_partition = {frozenset(s) for s in direct_parts.values()}
     return lifted_partition == direct_partition
 

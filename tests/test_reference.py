@@ -120,18 +120,20 @@ def test_reports_sharing_a_table_keep_their_own_ids():
 
 def test_state_table_swaps_are_the_forward_moves():
     # swaps(p, q) lists each forward move across p < q once, keyed by the
-    # labels (s, t), s < t, that it moves
+    # labels (s, t), s < t, that it moves; ranks are enumeration ranks
     mult = (2, 1, 2)
     n = sum(mult)
     table = statespace._state_table(mult)
-    index = table.index
     labels = MultiplicityGraph(complete_graph(len(mult)), mult)
     for p, q in complete_graph(n).edge_list:
-        space = FSmSpace(SimpleGraph(n, [(p, q)]), labels)
+        ref = reference.space_for(SimpleGraph(n, [(p, q)]), labels, "fsm")
+        rank = {a: i for i, a in enumerate(ref.enumerate())}
+        assert list(table.index.values()) == list(rank.values())
         expected: dict = {}
-        for a, i in index.items():
-            for b in space.forward_neighbors(a):
-                expected.setdefault((a[p], a[q]), []).append((i, index[b]))
+        for a, i in rank.items():
+            for b in ref.neighbors(a):
+                if _is_forward(a, b):
+                    expected.setdefault((a[p], a[q]), []).append((i, rank[b]))
         swaps = table.swaps(p, q)
         assert {st: list(zip(pairs[::2], pairs[1::2]))
                 for st, pairs in swaps.items()} == expected
@@ -148,22 +150,93 @@ def test_fs_is_fsm_with_unit_multiplicities(pair):
                             build(x, unit, variant="fsm"))
 
 
+def _entries(a):
+    return list(itertools.chain.from_iterable(a)) if a and isinstance(a[0], tuple) \
+        else list(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.booleans())
+def test_codes_round_trip_and_component_of(inst, table):
+    # with and without the shared tables: every report's index is keyed by
+    # the codes of its arrangements in enumeration order, a code's digits
+    # are the arrangement's entries, and component_of agrees with reference
+    variant, x, y = inst
+    space = space_for(x, y, variant)
+    with pytest.MonkeyPatch.context() as mp:
+        if not table:
+            mp.setattr(statespace, "_TABLE_STATES", 0)
+        live = build_components(x, y, variant=variant)
+    ref = reference.build_components(x, y, variant=variant)
+    arrangements = list(ref.component_id)
+    codes = [space.code(a) for a in arrangements]
+    assert list(space.codes()) == codes
+    assert list(live.component_id.index) == codes
+    width = getattr(space, "width", 1)
+    for a, c in zip(arrangements, codes):
+        flat = _entries(a)
+        digits = c.to_bytes(len(flat) * width, "big")
+        assert [int.from_bytes(digits[k:k + width], "big")
+                for k in range(0, len(digits), width)] == flat
+        assert live.component_of(a) == ref.component_of(a)
+    assert list(live.component_id.coded()) == list(zip(codes, (
+        ref.component_of(a) for a in arrangements)))
+
+
+@pytest.mark.parametrize("x, y", [
+    (MultiplicityGraph(complete_graph(2), (300, 2)),
+     MultiplicityGraph(complete_graph(2), (301, 1))),
+    (MultiplicityGraph(path_graph(3), (256, 1, 2)),
+     MultiplicityGraph(complete_graph(3), (257, 1, 1))),
+])
+def test_fsmm_cells_above_a_byte_match_reference(x, y):
+    # a cell above 255 takes two bytes in the code, and neither raises nor
+    # collides
+    space = space_for(x, y, "fsmm")
+    assert space.width == 2
+    live = build_components(x, y, variant="fsmm")
+    ref = reference.build_components(x, y, variant="fsmm")
+    _assert_same_report(live, ref)
+    assert max(max(_entries(a)) for a in ref.component_id) >= 256
+    assert len(set(live.component_id.index)) == live.vertex_count > 1
+    assert all(live.component_of(a) == i for a, i in ref.component_id.items())
+
+
+@pytest.mark.parametrize("x, y, variant, outside", [
+    # (1, 2) reads as the same number as (0, 1, 2)
+    (path_graph(3), path_graph(3), "fs", [(1, 2), (0, 1, 2, 0), (0, 1, 256),
+                                          (0, 1, -1), (0, 1, "2"), 7]),
+    (as_multiplicity(path_graph(2)), as_multiplicity(path_graph(2)), "fsmm",
+     [((1, 0, 0), (1,)), ((1,), (0, 1)), ((1, 0),), ((1, 0), (0, -1)),
+      ((1, 0), (0, "1"))]),
+])
+def test_component_of_rejects_what_is_not_an_arrangement(x, y, variant, outside):
+    ids = build_components(x, y, variant=variant).component_id
+    for a in outside:
+        assert a not in ids
+        with pytest.raises(KeyError):
+            ids[a]
+
+
 @settings(max_examples=100, deadline=None)
 @given(instances())
 def test_forward_neighbors_give_each_link_once(inst):
+    # every link once from one end: of its two moves exactly one is forward,
+    # no two moves from an arrangement reach the same neighbour, and
+    # edge_count, with or without a shared table, counts the forward moves
     variant, x, y = inst
-    space = space_for(x, y, variant)
-    forward = {a: space.forward_neighbors(a) for a in space.enumerate()}
-    backward = {a: [] for a in forward}
-    for a, nbrs in forward.items():
+    ref = reference.space_for(x, y, variant)
+    forward = 0
+    for a in ref.enumerate():
+        nbrs = ref.neighbors(a)
+        assert len(set(nbrs)) == len(nbrs)
         for b in nbrs:
-            backward[b].append(a)
-    # every link once from one end: forward and backward moves split the
-    # neighbours, with nothing repeated
-    for a in forward:
-        assert sorted(space.neighbors(a)) == sorted(forward[a] + backward[a])
-    assert sum(map(len, forward.values())) == \
-        build_components(x, y, variant=variant).edge_count
+            assert _is_forward(a, b) != _is_forward(b, a)
+            forward += _is_forward(a, b)
+    assert build_components(x, y, variant=variant).edge_count == forward
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statespace, "_TABLE_STATES", 0)
+        assert build_components(x, y, variant=variant).edge_count == forward
 
 
 @settings(max_examples=100, deadline=None)
@@ -448,8 +521,6 @@ def _assert_moves_match_reference(space, ref, arrangements):
     for i, a in enumerate(arrangements):
         nbrs = ref.neighbors(a)
         assert space.neighbors(a) == nbrs, a
-        assert space.forward_neighbors(a) == [
-            b for b in nbrs if _is_forward(a, b)], a
         # every other neighbour seen already, plus an arrangement that is
         # not a neighbour
         seen = {a, *nbrs[i % 2::2]}

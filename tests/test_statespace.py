@@ -484,10 +484,11 @@ def _assert_warm_answers(x, y, starts, variant):
     statespace._exhausted.clear()
     assert [_outcome(x, y, a, u, v, variant) for a, u, v in queries] == partition
     memo = statespace._exhausted
+    code = space_for(x, y, variant).code
     for (a, _, _), same in zip(queries, partition):
         if not same:
             # a miss keeps its start's whole component
-            assert memo.sizes[memo.number[bytes(a)]] == \
+            assert memo.sizes[memo.number[code(a)]] == \
                 rep.component_sizes[rep.component_of(a)]
     assert len(memo.number) == sum(memo.sizes)
     assert [_cold(x, y, a, u, v, variant) for a, u, v in queries] == partition
@@ -658,6 +659,28 @@ def test_kept_components_cost_under_100_bytes_a_state():
     states = len(statespace._exhausted.number)
     assert states == sum(statespace._exhausted.sizes) >= 4 * 5040
     assert kept < 100 * states
+
+
+def test_build_components_peak_under_160_bytes_a_state():
+    # FS(K4,4, C8): 40,320 arrangements, above the 7! table bound, so the
+    # index is this call's own, keyed by the arrangements' int codes
+    x, y = complete_bipartite_graph(4, 4), cycle_graph(8)
+    build_components(x, y)   # compiles the space's union kernel
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = build_components(x, y)
+        gc.collect()
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    states = report.vertex_count
+    assert states == 40_320 > statespace._TABLE_STATES
+    # measured: 104 B a state at the peak, all of it kept by the report
+    assert peak <= 160 * states
+    assert kept <= 112 * states
 
 
 def test_a_miss_above_the_cell_bound_keeps_nothing():
