@@ -17,7 +17,7 @@ import random
 from functools import lru_cache
 from typing import Sequence
 
-from .graphs import MultiplicityGraph, SimpleGraph, compositions
+from .graphs import MultiplicityGraph, SimpleGraph, compositions, star_graph
 
 
 @lru_cache(maxsize=None)
@@ -161,8 +161,6 @@ def star_mult_configs(n_total: int, centers: Sequence[int],
                       sizes: Sequence[int]) -> list[MultiplicityGraph]:
     """Star multiplicity graphs with given vertex counts and center
     multiplicities, total n_total; leaf lists deduplicated up to reordering."""
-    from .graphs import star_graph
-
     out = []
     for m in sizes:
         if m < 2:

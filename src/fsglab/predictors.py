@@ -247,17 +247,16 @@ def _cut_vertex_bound_verdicts(total_max: int) -> Iterator[Verdict]:
         unit_cuts = [v for v in cuts if x.mult[v] == 1]
         if not unit_cuts:
             continue
-        n = x.total
-        for y in families.graph_classes(n, connected=True):
+        margins = [_component_totals(x, x0) for x0 in unit_cuts]
+        for y in families.graph_classes(x.total, connected=True):
             ycuts, _ = articulation_analysis(y)
             if not ycuts:
                 continue
             report = build_components(y, x, variant="fsm")
             bound = 0
-            for x0 in unit_cuts:
-                for y0 in ycuts:
-                    rows = _component_totals(x, x0)
-                    cols = _component_sizes(y, y0)
+            for y0 in ycuts:
+                cols = _component_sizes(y, y0)
+                for rows in margins:
                     bound = max(bound, contingency_count(rows, cols))
             yield Verdict(
                 family="cut-vertex-bound",

@@ -31,15 +31,14 @@ walks a state space:
 * ``build_components`` -- one union-find pass over the whole space, for the
   full component partition.
 
-``is_exchangeable`` asks ``reachable`` and keeps what a miss walked: on
-spaces of at most 8! x 8 cells (arrangements times positions) it numbers
-each component that a BFS exhausted, by the codes of its arrangements, and
-keeps them for the last space that had one.  A later query on that space
-from a kept component answers by lookup when its budget covers the
-component, which the BFS would also have walked without raising; every
-other query walks as before.  Asking every label pair of FS(C8, complement
-of P8) thus walks each of its 8 components of 5,040 arrangements at most
-once, for about 68 B kept per arrangement (74 B when keyed by bytes).
+``is_exchangeable`` answers from the partition where the BFS could not
+raise: on an fs/fsm space of at most ``_SLOT_STATES`` = 8! arrangements,
+with no budget or one that covers the space, it compares the component ids
+of the start and the target in the ``build_components`` report of the
+space, kept for the last space answered so.  Every other query runs
+``reachable``.  One build of FS(C8, complement of P8), 40,320 arrangements
+in 8 components, costs about as much as the few BFS walks it replaces, and
+the kept report holds about 104 B per arrangement.
 
 Every move has an inverse, so the links of a space are undirected.  A
 *forward* move is, in fs/fsm, a swap across the X-edge (p, q), p < q, that
@@ -51,13 +50,13 @@ link is exactly one forward move, from one of its two ends.
 ``build_components`` makes forward moves only, so it sees each link once
 and its ``edge_count`` is the number of forward moves.
 
-Each space has three move functions, generated Python, one source per
+Each space has two move functions, generated Python, one source per
 function and X shape (fsmm: X and Y shape), cached and formatted from
 integers only, with no loop over the edges:
 
-* ``neighbors(a)`` and ``fresh_neighbors(a, seen)`` unpack the tuple once,
-  test each move on named entries and build each neighbour as a tuple
-  display;
+* ``fresh_neighbors(a, seen)`` unpacks the tuple once, tests each move on
+  named entries and builds each neighbour as a tuple display;
+  ``neighbors(a)`` is ``fresh_neighbors(a, set())``;
 * ``union_links(index, parent)`` walks the index's codes in rank order,
   unpacks each with one ``to_bytes``, tests each forward move on named
   entries, computes the neighbour's code arithmetically (fs/fsm
@@ -138,7 +137,7 @@ class InvalidArrangementError(ValueError):
 
 # -- moves --------------------------------------------------------------------
 
-_MOVES = ("neighbors", "fresh_neighbors", "union_links")
+_MOVES = ("fresh_neighbors", "union_links")
 
 
 class _GeneratedMoves:
@@ -150,6 +149,11 @@ class _GeneratedMoves:
             raise AttributeError(name)
         move = self.__dict__[name] = self._moves(name)
         return move
+
+    def neighbors(self, a) -> list:
+        """Every arrangement one move from ``a``: no two moves reach the
+        same one, so none is dropped as seen."""
+        return self.fresh_neighbors(a, set())
 
 
 def _tuple(names: Sequence[str]) -> str:
@@ -173,8 +177,9 @@ def _compile_move(name: str, unpack: Sequence[str], moves: Sequence[tuple],
     ``unpack`` are statements that name the parts of an arrangement: of the
     tuple ``a``, or for ``union_links`` of the code ``c``.  Each move is
     (test, forward, new arrangement, code delta), expressions over those
-    names and ``m``.  ``neighbors`` and ``fresh_neighbors`` make every move
-    whose test holds.
+    names and ``m``.  ``fresh_neighbors(a, seen)`` makes every move whose
+    test holds and returns the new arrangements not in ``seen``, adding
+    them to it.
 
     ``union_links(index, parent)`` walks ``index`` (code -> rank) in rank
     order, makes the forward moves whose test holds, unions the ranks of
@@ -206,15 +211,13 @@ def _compile_move(name: str, unpack: Sequence[str], moves: Sequence[tuple],
         src += ["   " + line for line in loop]
         src += ["  return links", " return union_links"]
     else:
-        fresh = name == "fresh_neighbors"
-        src = ["def bind(m):", f" def {name}(a{', seen' if fresh else ''}):"]
+        src = ["def bind(m):", " def fresh_neighbors(a, seen):"]
         src += ["  " + line for line in unpack] if moves else []
         src.append("  out = []")
         for test, _, b, _ in moves:
-            src.append(f"  if {test}:")
-            src += [f"   b = {b}", "   if b not in seen:", "    seen.add(b)",
-                    "    out.append(b)"] if fresh else [f"   out.append({b})"]
-        src += ["  return out", f" return {name}"]
+            src += [f"  if {test}:", f"   b = {b}", "   if b not in seen:",
+                    "    seen.add(b)", "    out.append(b)"]
+        src += ["  return out", " return fresh_neighbors"]
     namespace: dict = {}
     exec(compile("\n".join(src), "<moves>", "exec"), namespace)
     return namespace["bind"]
@@ -738,50 +741,13 @@ def reachable(space, start, budget: Optional[int] = None) -> Iterator:
         frontier = nxt
 
 
-# fs/fsm spaces of at most this many cells (arrangements times positions)
-# keep the components that is_exchangeable walks to exhaustion
-_MEMO_CELLS = math.factorial(8) * 8
+# is_exchangeable answers from the component partition of fs/fsm spaces of
+# at most this many arrangements (8!): at that size one build costs about as
+# much as the few BFS walks it replaces
+_SLOT_STATES = math.factorial(8)
 
-
-class _ExhaustedComponents:
-    """The components that ``is_exchangeable`` walked to exhaustion on the
-    last space that had one, keyed by its graphs ``(space.x, space.y)``:
-    ``number`` maps the code (``FSmSpace.code``) of each of their
-    arrangements to its component's number, and ``sizes`` holds each
-    component's size."""
-
-    __slots__ = ("graphs", "number", "sizes")
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self) -> None:
-        self.graphs = None
-        self.number: dict = {}
-        self.sizes: list[int] = []
-
-    def answer(self, graphs, a: int, target: int, budget: Optional[int]):
-        """Whether the arrangement coded ``target`` is in the component of
-        the one coded ``a``, when that component is kept for ``graphs`` and
-        ``budget`` covers it; else None."""
-        if graphs != self.graphs:
-            return None
-        number = self.number.get(a)
-        if number is None or budget is not None and self.sizes[number] > budget:
-            return None
-        return self.number.get(target) == number
-
-    def add(self, graphs, component: list) -> None:
-        """Keep ``component``, a list of arrangements, for ``graphs``."""
-        if graphs != self.graphs:
-            self.clear()
-            self.graphs = graphs
-        self.number.update(zip(_byte_codes(component),
-                               itertools.repeat(len(self.sizes))))
-        self.sizes.append(len(component))
-
-
-_exhausted = _ExhaustedComponents()
+# (space.x, space.y) -> component ids, for the last space answered that way
+_slot: dict = {}
 
 
 def is_exchangeable(x, y, a, u: int, v: int, budget: Optional[int] = None,
@@ -792,14 +758,16 @@ def is_exchangeable(x, y, a, u: int, v: int, budget: Optional[int] = None,
     arrangement with those labels exchanged.  For the multiplicity variant
     (u, v) are positions and the target swaps the two entries.
 
-    The answer comes from a BFS from ``a`` (``reachable``) that stops at
-    the target, so a miss walks the whole component of ``a``.  On a space of
-    at most ``_MEMO_CELLS`` cells that component is kept, next to those of
-    earlier misses on the same space, until a miss on another space
-    replaces them.  A query from a kept component of size S answers by
-    lookup when ``budget`` is None or at least S, where the BFS could not
-    have raised.  A pair that is not two labels (fs) or two positions (fsm)
-    of the space raises ``ValueError``.
+    On a space of at most ``_SLOT_STATES`` arrangements, with ``budget``
+    None or at least the space's size, where the BFS could not have raised,
+    the answer compares the component ids of ``a`` and the target in the
+    ``build_components`` report of the space.  One slot keeps the ids, keyed
+    by ``(space.x, space.y)``, until a query on another such space replaces
+    them; unit-multiplicity fsm is the fs space, so the two share it.  Every
+    other query runs a BFS from ``a`` (``reachable``) that stops at the
+    target, so a miss walks the whole component of ``a``.  A pair that is
+    not two labels (fs) or two positions (fsm) of the space raises
+    ``ValueError``.
     """
     if u == v:
         raise ValueError("pair must be distinct")
@@ -822,19 +790,15 @@ def is_exchangeable(x, y, a, u: int, v: int, budget: Optional[int] = None,
         target = tuple(b)
     if target == a:
         return True
-    if space.count() * space.x.n > _MEMO_CELLS:
+    total = space.count()
+    if total > _SLOT_STATES or budget is not None and budget < total:
         return any(s == target for s in reachable(space, a, budget))
     graphs = (space.x, space.y)
-    kept = _exhausted.answer(graphs, space.code(a), space.code(target), budget)
-    if kept is not None:
-        return kept
-    component = [a]
-    for s in reachable(space, a, budget):
-        if s == target:
-            return True
-        component.append(s)
-    _exhausted.add(graphs, component)
-    return False
+    ids = _slot.get(graphs)
+    if ids is None:
+        _slot.clear()
+        ids = _slot[graphs] = build_components(*graphs, variant="fsm").component_id
+    return ids[a] == ids[target]
 
 
 # -- audits -------------------------------------------------------------------
@@ -959,7 +923,8 @@ def kbridge_component_invariant(
     k = star.mult[blank]
     if len(bridge) != k:
         raise KBridgeError(f"bridge length {len(bridge)} != center multiplicity {k}")
-    if bridge not in find_k_bridges(x, k) and tuple(reversed(bridge)) not in find_k_bridges(x, k):
+    bridges = find_k_bridges(x, k)
+    if bridge not in bridges and bridge[::-1] not in bridges:
         raise KBridgeError(f"{bridge} is not a {k}-bridge of the position graph")
     side_a = set(next(comp for comp in x.connected_components(bridge[1:-1])
                       if bridge[0] in comp))

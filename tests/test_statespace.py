@@ -265,7 +265,7 @@ def test_exchangeable_rejects_bad_arrangement():
         is_exchangeable(path_graph(3), EDGE12, (1, 0.0, 1), 0, 1, variant="fsm")
 
 
-def _no_walk(space, start, budget=None):
+def _no_walk(*args, **kwargs):
     raise AssertionError("walked the space")
 
 
@@ -460,8 +460,16 @@ def _outcome(x, y, a, u, v, variant="fs", budget=None):
 
 
 def _cold(x, y, a, u, v, variant="fs", budget=None):
-    statespace._exhausted.clear()
-    return _outcome(x, y, a, u, v, variant, budget)
+    """The answer of a BFS from ``a`` that stops at the target, or the
+    ``required`` it raises with: the query asked with nothing kept."""
+    target = _target(a, u, v, variant)
+    if target == a:
+        return True
+    try:
+        return any(s == target for s in
+                   statespace.reachable(space_for(x, y, variant), a, budget))
+    except BudgetExceededError as e:
+        return "budget", e.required
 
 
 def _queries(starts):
@@ -474,24 +482,24 @@ def _partition_answers(rep, queries, variant="fs"):
             for a, u, v in queries]
 
 
+def _forbid_walks(mp):
+    """Make a BFS or a component build fail the test."""
+    mp.setattr(statespace, "reachable", _no_walk)
+    mp.setattr(statespace, "build_components", _no_walk)
+
+
 def _assert_warm_answers(x, y, starts, variant):
-    """Every pair from every start, asked in turn with the kept components
-    of earlier queries, gets the answer of the component partition; so does
-    each one asked with nothing kept.  Returns the answers."""
+    """Every pair from every start, asked in turn, gets the answer of the
+    component partition and of a cold BFS; asked again, it walks nothing.
+    Returns the answers."""
     rep = build_components(x, y, variant=variant)
     queries = _queries(starts)
     partition = _partition_answers(rep, queries, variant)
-    statespace._exhausted.clear()
     assert [_outcome(x, y, a, u, v, variant) for a, u, v in queries] == partition
-    memo = statespace._exhausted
-    code = space_for(x, y, variant).code
-    for (a, _, _), same in zip(queries, partition):
-        if not same:
-            # a miss keeps its start's whole component
-            assert memo.sizes[memo.number[code(a)]] == \
-                rep.component_sizes[rep.component_of(a)]
-    assert len(memo.number) == sum(memo.sizes)
     assert [_cold(x, y, a, u, v, variant) for a, u, v in queries] == partition
+    with pytest.MonkeyPatch.context() as mp:
+        _forbid_walks(mp)
+        assert [_outcome(x, y, a, u, v, variant) for a, u, v in queries] == partition
     return partition
 
 
@@ -519,8 +527,8 @@ def _relabel(g, perm):
 
 def test_kept_components_follow_the_space_they_were_walked_on():
     # A, then B, then A again, then A with positions and labels renamed:
-    # each answers as its own partition, and a miss on one space drops the
-    # components kept for another
+    # each answers as its own partition, and a query on one space drops what
+    # was kept for another
     a_graphs = (cycle_graph(6), complement(path_graph(6)))
     b_graphs = (path_graph(6), cycle_graph(6))
     pos, lab = (2, 0, 5, 1, 3, 4), (4, 2, 0, 5, 1, 3)
@@ -536,22 +544,31 @@ def test_kept_components_follow_the_space_they_were_walked_on():
     a_answers = _partition_answers(build_components(*a_graphs), a_queries)
     b_answers = _partition_answers(build_components(*b_graphs), a_queries)
     assert _partition_answers(build_components(*renamed), renamed_queries) == a_answers
-    # every start misses on both spaces, so each pass keeps its components
+    # both answers come from every start on both spaces
     for answers in (a_answers, b_answers):
-        assert not all(answers[:15]) and not all(answers[15:])
-    statespace._exhausted.clear()
-    for (x, y), queries, answers in ((a_graphs, a_queries, a_answers),
-                                     (b_graphs, a_queries, b_answers),
-                                     (a_graphs, a_queries, a_answers),
-                                     (renamed, renamed_queries, a_answers)):
+        for part in (answers[:15], answers[15:]):
+            assert any(part) and not all(part)
+    passes = ((a_graphs, a_queries, a_answers), (b_graphs, a_queries, b_answers),
+              (a_graphs, a_queries, a_answers),
+              (renamed, renamed_queries, a_answers))
+    for k, ((x, y), queries, answers) in enumerate(passes):
         assert [is_exchangeable(x, y, a, u, v) for a, u, v in queries] == answers
-        assert statespace._exhausted.graphs == (x, as_multiplicity(y))
+        with pytest.MonkeyPatch.context() as mp:
+            _forbid_walks(mp)
+            # the space just asked answers again without a walk; the one
+            # before it walks again
+            assert [is_exchangeable(x, y, a, u, v)
+                    for a, u, v in queries] == answers
+            if k:
+                (px, py), pq, _ = passes[k - 1]
+                with pytest.raises(AssertionError, match="walked the space"):
+                    is_exchangeable(px, py, *pq[0])
     # A's kept components answer A's questions without a walk, but not
     # those of the renamed copy
     for a, u, v in a_queries:
         is_exchangeable(*a_graphs, a, u, v)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(statespace, "reachable", _no_walk)
+        _forbid_walks(mp)
         assert [is_exchangeable(*a_graphs, a, u, v)
                 for a, u, v in a_queries] == a_answers
         with pytest.raises(AssertionError, match="walked the space"):
@@ -565,16 +582,18 @@ def test_fs_and_unit_fsm_share_the_kept_components():
     a = (3, 7, 1, 6, 0, 4, 2, 5)
     pairs = list(itertools.combinations(range(8), 2))
     by_positions = [tuple(sorted((a.index(u), a.index(v)))) for u, v in pairs]
+    p3 = path_graph(3)
     for (first, ask_first), (then, ask_then) in (
             (("fs", pairs), ("fsm", by_positions)),
             (("fsm", by_positions), ("fs", pairs))):
         yy = {"fs": y, "fsm": unit}
-        statespace._exhausted.clear()
+        # another space replaces what the last pass kept
+        assert not is_exchangeable(p3, p3, (0, 1, 2), 0, 2)
         answers = [is_exchangeable(x, yy[first], a, u, v, variant=first)
                    for u, v in ask_first]
         assert 0 < sum(answers) < len(answers)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(statespace, "reachable", _no_walk)
+            _forbid_walks(mp)
             assert [is_exchangeable(x, yy[then], a, p, q, variant=then)
                     for p, q in ask_then] == answers
 
@@ -586,14 +605,13 @@ def test_fs_and_unit_fsm_share_the_kept_components():
 ])
 def test_warm_miss_charges_the_whole_component(x, y, a, u, v, variant):
     # test_exchangeable_miss_charges_the_whole_component, after an
-    # unbudgeted miss has kept the component
+    # unbudgeted miss has kept the space's components
     rep = build_components(x, y, variant=variant)
     size = rep.component_sizes[rep.component_id[a]]
-    assert size > 1
+    total = rep.vertex_count
+    assert 1 < size < total
     cold = {budget: _cold(x, y, a, u, v, variant, budget) for budget in (-1, 0)}
-    statespace._exhausted.clear()
     assert not is_exchangeable(x, y, a, u, v, variant=variant)
-    assert statespace._exhausted.sizes == [size]
     assert not is_exchangeable(x, y, a, u, v, budget=size, variant=variant)
     for budget in range(1, size):
         with pytest.raises(BudgetExceededError) as exc:
@@ -602,16 +620,22 @@ def test_warm_miss_charges_the_whole_component(x, y, a, u, v, variant):
     for budget in (-1, 0):
         assert _outcome(x, y, a, u, v, variant, budget) == cold[budget] == \
             ("budget", 2)
-    assert statespace._exhausted.sizes == [size]
+    # a budget that covers the space answers from what was kept
+    with pytest.MonkeyPatch.context() as mp:
+        _forbid_walks(mp)
+        for budget in (None, total, total + 1):
+            assert not is_exchangeable(x, y, a, u, v, budget=budget,
+                                       variant=variant)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_warm_budgets_give_the_cold_answers_and_raises(n):
     # the budget half of test_exchangeability_agrees_with_is_exchangeable,
-    # asked again after unbudgeted queries that kept the start's component
+    # asked again after unbudgeted queries on the same space
     graphs = [g for g in families.graph_classes(n, connected=True) if g.n == n]
     ident = tuple(range(n))
     pairs = list(itertools.combinations(range(n), 2))
+    total = math.factorial(n)
     for g, h in itertools.product(graphs, repeat=2):
         component = [ident, *statespace.reachable(space_for(g, h, "fs"), ident)]
         asked = []
@@ -624,13 +648,11 @@ def test_warm_budgets_give_the_cold_answers_and_raises(n):
             else:
                 size = len(component)
                 pinned = {size: False, size - 1: ("budget", size)}
-            for budget in {-1, 0, *pinned}:
+            for budget in {-1, 0, total, *pinned}:
                 asked.append((u, v, budget, pinned.get(budget)))
         cold = [_cold(g, h, ident, u, v, budget=budget) for u, v, budget, _ in asked]
-        statespace._exhausted.clear()
-        answers = [is_exchangeable(g, h, ident, u, v) for u, v in pairs]
-        if not all(answers):
-            assert statespace._exhausted.sizes == [len(component)]
+        assert [is_exchangeable(g, h, ident, u, v) for u, v in pairs] == \
+            [_target(ident, u, v, "fs") in component for u, v in pairs]
         warm = [_outcome(g, h, ident, u, v, budget=budget) for u, v, budget, _ in asked]
         assert warm == cold
         for (u, v, budget, expected), got in zip(asked, warm):
@@ -638,27 +660,29 @@ def test_warm_budgets_give_the_cold_answers_and_raises(n):
                 assert got == expected, (g, h, u, v, budget)
 
 
-def test_kept_components_cost_under_100_bytes_a_state():
+def test_kept_slot_costs_at_most_112_bytes_a_state():
     # the 56 queries of one oracle-many repetition
     x, y = cycle_graph(8), complement(path_graph(8))
     rng = random.Random(8)
     queries = [(tuple(rng.sample(range(8), 8)), u, v)
                for u, v in itertools.combinations(range(8), 2) for _ in range(2)]
     is_exchangeable(x, y, *queries[0])   # compiles the space's moves
-    statespace._exhausted.clear()
+    p3 = path_graph(3)
+    assert not is_exchangeable(p3, p3, (0, 1, 2), 0, 2)   # keeps 6 states
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for a, u, v in queries:
-            is_exchangeable(x, y, a, u, v)
+        answers = [is_exchangeable(x, y, a, u, v) for a, u, v in queries]
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    states = len(statespace._exhausted.number)
-    assert states == sum(statespace._exhausted.sizes) >= 4 * 5040
-    assert kept < 100 * states
+    assert 0 < sum(answers) < len(answers)
+    states = space_for(x, y, "fs").count()
+    assert states == 40_320 == statespace._SLOT_STATES
+    # measured: about 104 B a state, the report's index and ids
+    assert kept <= 112 * states
 
 
 def test_build_components_peak_under_160_bytes_a_state():
@@ -683,18 +707,16 @@ def test_build_components_peak_under_160_bytes_a_state():
     assert kept <= 112 * states
 
 
-def test_a_miss_above_the_cell_bound_keeps_nothing():
+def test_a_query_above_the_state_bound_keeps_nothing():
     # FS(K4,5, C9): 362,880 arrangements; the identity's component has 2,520
     x, y = complete_bipartite_graph(4, 5), cycle_graph(9)
     a = tuple(range(9))
-    assert space_for(x, y, "fs").count() * 9 > statespace._MEMO_CELLS
+    assert space_for(x, y, "fs").count() > statespace._SLOT_STATES
     with pytest.raises(BudgetExceededError) as exc:
         is_exchangeable(x, y, a, 0, 1, budget=2519)
     assert exc.value.required == 2520
     p3 = path_graph(3)
     assert not is_exchangeable(p3, p3, (0, 1, 2), 0, 2)
-    memo = statespace._exhausted
-    kept_before = (memo.graphs, dict(memo.number), list(memo.sizes))
     gc.collect()
     tracemalloc.start()
     try:
@@ -704,8 +726,14 @@ def test_a_miss_above_the_cell_bound_keeps_nothing():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert (memo.graphs, memo.number, memo.sizes) == kept_before
     assert kept < 1024
+    with pytest.MonkeyPatch.context() as mp:
+        # without a budget it still walks the one component, building nothing
+        mp.setattr(statespace, "build_components", _no_walk)
+        assert not is_exchangeable(x, y, a, 0, 1)
+        # and P3 is still kept
+        _forbid_walks(mp)
+        assert not is_exchangeable(p3, p3, (0, 1, 2), 0, 2)
 
 
 # -- bridge component invariant ---------------------------------------------------------
