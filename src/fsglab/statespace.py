@@ -13,10 +13,11 @@ Arrangements are plain tuples.  Each also has an int code, its entries
 read as one base-256 number (``code``, ``codes``): an fs/fsm arrangement's
 labels with position 0 most significant, ``int.from_bytes(bytes(a),
 "big")``; an fsmm arrangement's cells row by row, ``width`` bytes a cell,
-so that a cell above 255 neither raises nor collides.  Every index of
-arrangements is keyed by these codes, which cost less than a tuple: an
-FS(K4,5, C9) build peaks at about 148 B per state, against 222 B with
-tuple keys.
+so that a cell above 255 neither raises nor collides.  A ``_RankIndex``
+maps each code to its enumeration rank from two small tables, one keyed by
+the codes' leading digits and one by the rest, and stores no code of a
+whole arrangement: an FS(K4,5, C9) build peaks at about 15 B per state,
+against 148 B with a dict keyed by every code and 222 B with tuple keys.
 
 Two traversals answer every reachability question, and nothing else here
 walks a state space:
@@ -38,7 +39,7 @@ of the start and the target in the ``build_components`` report of the
 space, kept for the last space answered so.  Every other query runs
 ``reachable``.  One build of FS(C8, complement of P8), 40,320 arrangements
 in 8 components, costs about as much as the few BFS walks it replaces, and
-the kept report holds about 104 B per arrangement.
+the kept report holds about 20 B per arrangement.
 
 Every move has an inverse, so the links of a space are undirected.  A
 *forward* move is, in fs/fsm, a swap across the X-edge (p, q), p < q, that
@@ -61,10 +62,10 @@ integers only, with no loop over the edges:
   unpacks each with one ``to_bytes``, tests each forward move on named
   entries, computes the neighbour's code arithmetically (fs/fsm
   ``c + (a_q - a_p) * (256**(n-1-p) - 256**(n-1-q))``, fsmm ``c`` plus a
-  constant per move) and unions the two ranks.  The fsmm kernel first
-  collects a state's neighbour codes and unions them in one loop: it runs
-  slower but compiles in a third of the time, and most fsmm spaces are
-  small.
+  constant per move), ranks it with the index's two tables and unions
+  the two ranks.  The fsmm kernel first collects a state's neighbour codes
+  and unions them in one loop: it runs slower but compiles in a third of
+  the time, and most fsmm spaces are small.
 
 A space generates a function on its first use, not when it is built: the
 table path below never makes a move, and a benchmark repetition builds
@@ -73,23 +74,22 @@ about 2,000 such spaces.  Compiling costs about 1 ms a function.
 ``build_components`` reads the moves from one of two link sources:
 
 * fs/fsm spaces with at most ``_TABLE_STATES`` = 7! arrangements use the
-  ``_StateTable`` of their label counts: a code-to-rank index and, per
-  position pair, the rank pairs of every swap, keyed by the two labels.
-  The table depends only on the counts, so every space with them shares
-  one, relabelled inputs included, and a call makes no move and looks up
-  no arrangement: it unions the rank pairs of each X-edge and Y-edge.
-* Larger spaces, and fsmm, rank the codes of their arrangements in a dict
-  of their own and call ``union_links``.
+  ``_StateTable`` of their label counts: a rank index and, per position
+  pair, the rank pairs of every swap, keyed by the two labels.  The table
+  depends only on the counts, so every space with them shares one,
+  relabelled inputs included, and a call makes no move and looks up no
+  arrangement: it unions the rank pairs of each X-edge and Y-edge.
+* Larger spaces, and fsmm, build a rank index of their own and call
+  ``union_links``.
 
-Either way the union-find parents, and then the component ids, are a list
-in enumeration order, read through the index, which no call writes.  The
-list starts as the index's values, so it holds the index's own rank ints:
-8 B an entry, as an ``array('l')`` would cost, but a read allocates
-nothing.  A report keeps its index and ids, about 130 B per state for
-FS(K4,5, C9), and reads an arrangement as ``ids[index[code(a)]]``; its
-iteration enumerates the space again.  Larger tables are not kept: a
-cached table outlives its report.  At the bound a table holds 0.44 MB,
-or 0.95 MB with the swaps of all 21 position pairs.
+Either way the union-find parents, and then the component ids, are 8 B an
+entry in enumeration order, read through the index, which no call writes:
+an ``array('l')``, or up to ``_LIST_STATES`` = 8! arrangements a slice of
+one shared list of rank ints, whose reads allocate nothing.  A report keeps its index and ids, about 14 B per
+state for FS(K4,5, C9), and reads an arrangement as
+``ids[index[code(a)]]``; its iteration enumerates the space again.  Larger
+tables are not kept: a cached table outlives its report.  At the bound a
+table holds 0.23 MB, or 0.73 MB with the swaps of all 21 position pairs.
 """
 
 from __future__ import annotations
@@ -181,33 +181,40 @@ def _compile_move(name: str, unpack: Sequence[str], moves: Sequence[tuple],
     test holds and returns the new arrangements not in ``seen``, adding
     them to it.
 
-    ``union_links(index, parent)`` walks ``index`` (code -> rank) in rank
-    order, makes the forward moves whose test holds, unions the ranks of
-    their two ends in ``parent`` and returns the number of moves made.
+    ``union_links(index, parent)`` walks the codes of ``index`` (a
+    ``_RankIndex``) in rank order, makes the forward moves whose test
+    holds, ranks each neighbour with the index's two tables, unions the
+    ranks of the two ends in ``parent`` and returns the number of moves
+    made.
     With ``inline`` each move unions in place; otherwise the moves collect
     the neighbours' codes and one loop unions them, which runs slower but
     compiles in about a third of the time."""
     if name == "union_links":
-        union = ["while parent[rb] != rb:", " parent[rb] = rb = parent[parent[rb]]",
-                 "if ra < rb:", " parent[rb] = ra",
-                 "elif rb < ra:", " parent[ra] = ra = rb"]
-        root = ["while parent[ra] != ra:", " parent[ra] = ra = parent[parent[ra]]"]
+        # ra is a root; a neighbour already under it costs one read
+        union = ["p = parent[rb]", "if p != ra:",
+                 " while p != rb:", "  parent[rb] = rb = parent[p]", "  p = parent[rb]",
+                 " if ra < rb:", "  parent[rb] = ra",
+                 " elif rb < ra:", "  parent[ra] = ra = rb"]
+        root = ["while (p := parent[ra]) != ra:", " parent[ra] = ra = parent[p]"]
         body = [(test, delta) for test, forward, _, delta in moves if forward]
+        rank = "rb = prefix[rb >> shift] + suffix[rb & mask]"
         loop = list(unpack)
         if inline:
             loop += root
             for test, delta in body:
-                loop += [f"if {test}:", f" rb = index[c + {delta}]", " links += 1"]
+                loop += [f"if {test}:", f" rb = c + {delta}", " " + rank, " links += 1"]
                 loop += [" " + line for line in union]
         else:
             loop.append("nb = []")
             for test, delta in body:
                 loop += [f"if {test}:", f" nb.append(c + {delta})"]
             loop += ["if nb:", " links += len(nb)"] + [" " + line for line in root]
-            loop += [" for rb in nb:", "  rb = index[rb]"]
+            loop += [" for rb in nb:", "  " + rank]
             loop += ["  " + line for line in union]
         src = ["def bind(m):", " def union_links(index, parent):", "  links = 0",
-               "  for c, ra in index.items():"]
+               "  prefix, suffix = index.prefix, index.suffix",
+               "  shift, mask = index.shift, index.mask",
+               "  for ra, c in enumerate(index):"]
         src += ["   " + line for line in loop]
         src += ["  return links", " return union_links"]
     else:
@@ -312,10 +319,15 @@ class FSmSpace(_GeneratedMoves):
         return c
 
     def enumerate(self) -> Iterator[tuple[int, ...]]:
-        return _label_vectors(self.y.mult)
+        # the same lexicographic order, from C rather than Algorithm L in
+        # Python
+        if all(k == 1 for k in self.y.mult):
+            return itertools.permutations(range(self.x.n))
+        return _multiset_permutations(self.y.mult)
 
     def codes(self) -> Iterator[int]:
-        return _byte_codes(self.enumerate())
+        return map(int.from_bytes, map(bytes, self.enumerate()),
+                   itertools.repeat("big"))
 
     def code(self, a: Sequence[int]) -> int:
         """``a`` read as a base-256 number, position 0 most significant.
@@ -324,6 +336,9 @@ class FSmSpace(_GeneratedMoves):
         if len(a) != self.x.n:
             raise ValueError(f"arrangement {a!r} has {len(a)} positions")
         return int.from_bytes(bytes(a), "big")
+
+    def index(self) -> "_RankIndex":
+        return _label_index(self.y.mult)
 
     def is_valid(self, a: Sequence[int]) -> bool:
         counts = [0] * self.y.base.n
@@ -380,6 +395,19 @@ class FSmmSpace(_GeneratedMoves):
                              f"of {self.y.base.n} cells")
         return int.from_bytes(b"".join(map(self._row_bytes, a)), "big")
 
+    def index(self) -> "_RankIndex":
+        """A step fills one row under the column room the earlier rows
+        left."""
+        rows = self.x.mult
+
+        def choices(i, room):
+            return [(int.from_bytes(self._row_bytes(row), "big"),
+                     tuple(r - v for r, v in zip(room, row)))
+                    for row in compositions(rows[i], room)]
+
+        return _RankIndex(len(rows), 8 * self.width * self.y.base.n,
+                          self.y.mult, choices)
+
     def _row_bytes(self, row: Sequence[int]) -> bytes:
         w = self.width
         if w == 1:
@@ -416,19 +444,6 @@ class FSmmSpace(_GeneratedMoves):
         x, y = self.x.base, self.y.base
         return _fsmm_moves(name, x.n, x.edge_list, y.n, y.edge_list,
                            self.width)(None)
-
-
-def _label_vectors(mult: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The arrangements of an fs/fsm space with label counts ``mult``."""
-    # the same lexicographic order, from C rather than Algorithm L in Python
-    if all(k == 1 for k in mult):
-        return itertools.permutations(range(len(mult)))
-    return _multiset_permutations(mult)
-
-
-def _byte_codes(arrangements) -> Iterator[int]:
-    """``FSmSpace.code`` of each of ``arrangements``, one C call chain each."""
-    return map(int.from_bytes, map(bytes, arrangements), itertools.repeat("big"))
 
 
 def _multiset_permutations(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -474,6 +489,115 @@ def _as_simple(g) -> SimpleGraph:
             )
         return g.base
     return g
+
+
+# -- rank index ---------------------------------------------------------------
+
+
+class _RankIndex(Mapping):
+    """Code -> enumeration rank of every arrangement of a space, from two
+    small tables rather than an entry an arrangement.
+
+    An arrangement is made in ``steps`` steps, each appending ``bits`` bits
+    to its code: an fs/fsm step places one position's label, an fsmm step
+    fills one row.  A step's options depend only on the room the earlier
+    steps left (label counts, or column room), and ``choices(i, room)``
+    lists those of step i in lexicographic order as (code part, room
+    left).  Enumeration is lexicographic, so the arrangements that share
+    their first ``k`` steps, a prefix, are contiguous and ordered as their
+    suffixes are among all suffixes that fill the same room.  So
+
+        rank(c) = prefix[c >> shift] + suffix[c & mask]
+
+    where ``prefix`` maps each prefix to the rank of its first arrangement
+    and ``suffix`` each suffix to its rank among those filling its room.
+    ``k`` is the split with the fewest entries in the two: 9 positions with
+    9 labels take 3,024 prefixes and 15,120 suffixes for 362,880
+    arrangements.
+
+    A prefix and a suffix can each be valid and not fit together (fs
+    (0, 1 | 0, 1)).  A lookup therefore reads the suffix in ``fits[p]``,
+    the suffix table of the room prefix p leaves, one table shared by
+    every prefix that leaves that room, and raises ``KeyError`` for any
+    code that is not an arrangement's.  The generated union kernels, which
+    rank only neighbours of arrangements, read the flat ``suffix``.
+    Iteration yields the codes in rank order."""
+
+    __slots__ = ("shift", "mask", "prefix", "suffix", "fits", "_len")
+
+    def __init__(self, steps: int, bits: int, room: tuple, choices):
+        memo: dict = {}
+
+        def options(i, r):
+            opts = memo.get((i, r))
+            if opts is None:
+                opts = memo[i, r] = choices(i, r)
+            return opts
+
+        # levels[i]: each room that i steps leave, with the number of
+        # prefixes that leave it
+        levels = [{room: 1}]
+        for i in range(steps):
+            level: dict = {}
+            for r, count in levels[i].items():
+                for _, left in options(i, r):
+                    level[left] = level.get(left, 0) + count
+            levels.append(level)
+        # fill[i][r]: the number of suffixes from step i on that fill room r
+        fill = [{}] * steps + [dict.fromkeys(levels[steps], 1)]
+        for i in reversed(range(steps)):
+            fill[i] = {r: sum(fill[i + 1][left] for _, left in options(i, r))
+                       for r in levels[i]}
+        k = min(range(steps + 1), key=lambda k: sum(levels[k].values())
+                + sum(fill[k].values()))
+
+        def walk(i, stop, r, acc):
+            # (code, room left) of every way through steps i..stop-1
+            if i == stop:
+                yield acc, r
+                return
+            for part, left in options(i, r):
+                yield from walk(i + 1, stop, left, acc << bits | part)
+
+        tables = {r: dict(zip((c for c, _ in walk(k, steps, r, 0)),
+                              itertools.count()))
+                  for r in levels[k]}
+        self.suffix: dict = {}
+        for table in tables.values():
+            self.suffix.update(table)
+        self.prefix: dict = {}
+        self.fits: dict = {}
+        rank = 0
+        for c, r in walk(0, k, room, 0):
+            self.prefix[c] = rank
+            self.fits[c] = tables[r]
+            rank += fill[k][r]
+        self._len = rank
+        self.shift = bits * (steps - k)
+        self.mask = (1 << self.shift) - 1
+
+    def __getitem__(self, code: int) -> int:
+        high = code >> self.shift
+        return self.prefix[high] + self.fits[high][code & self.mask]
+
+    def __iter__(self) -> Iterator[int]:
+        shift = self.shift
+        for c, table in self.fits.items():
+            yield from map((c << shift).__add__, table)
+
+    def __len__(self) -> int:
+        return self._len
+
+
+def _label_index(mult: tuple[int, ...]) -> _RankIndex:
+    """The index of the fs/fsm arrangements with label counts ``mult``: a
+    step places one position's label, from the labels still unplaced."""
+
+    def choices(i, room):
+        return [(lab, room[:lab] + (k - 1,) + room[lab + 1:])
+                for lab, k in enumerate(room) if k]
+
+    return _RankIndex(sum(mult), 8, tuple(mult), choices)
 
 
 # -- components ---------------------------------------------------------------
@@ -554,14 +678,16 @@ def _id_members(component_id: Mapping) -> Iterator[str]:
 class _ComponentIds(Mapping):
     """Arrangement -> component id, read as ``ids[index[space.code(a)]]``.
 
-    ``index`` ranks the codes of the arrangements in enumeration order and
-    may be shared with other reports, so nothing writes to it; ``ids`` holds
-    the component ids in that order.  Iteration enumerates the space
+    ``index`` (a ``_RankIndex``) ranks the codes of the arrangements in
+    enumeration order and may be shared with other reports, so nothing
+    writes to it; ``ids``, 8 B an arrangement (an ``array('l')``, or a list
+    on spaces of at most ``_LIST_STATES``), holds the component ids in
+    that order.  Iteration enumerates the space
     again."""
 
     __slots__ = ("space", "index", "ids")
 
-    def __init__(self, space, index: dict, ids: list):
+    def __init__(self, space, index: _RankIndex, ids: Sequence[int]):
         self.space = space
         self.index = index
         self.ids = ids
@@ -617,8 +743,7 @@ class _StateTable:
     __slots__ = ("index", "_n", "_swaps")
 
     def __init__(self, mult: tuple[int, ...]):
-        self.index = dict(zip(_byte_codes(_label_vectors(mult)),
-                              itertools.count()))
+        self.index = _label_index(mult)
         self._n = sum(mult)
         self._swaps: dict = {}
 
@@ -629,7 +754,7 @@ class _StateTable:
             index = self.index
             n = self._n
             weight = 256 ** (n - 1 - p) - 256 ** (n - 1 - q)
-            for c, i in index.items():
+            for i, c in enumerate(index):
                 a = c.to_bytes(n, "big")
                 s = a[p]
                 t = a[q]
@@ -646,6 +771,15 @@ class _StateTable:
 # through: a repetition of the benchmark's oracle-many or predict workload
 # uses 42 or 63
 _state_table = functools.lru_cache(maxsize=128)(_StateTable)
+
+
+# spaces of at most this many arrangements (8!) keep their union-find
+# parents, and then their ids, in a slice of _ranks, the rank ints up to the
+# largest such space built so far (at most 1.45 MB): 8 B a state, as in an
+# array('l'), but a read allocates no int, which halves the time of the
+# many small builds
+_LIST_STATES = math.factorial(8)
+_ranks: list[int] = []
 
 
 def build_components(
@@ -667,12 +801,14 @@ def build_components(
         index = table.index
     else:
         table = None
-        index = dict(zip(space.codes(), itertools.count()))
-    # union-find over enumeration ranks, allocated after the index so that it
-    # does not add to the index's peak, and holding the index's own rank
-    # ints; the smaller root wins, so every root is its component's first
-    # arrangement and parent[i] <= i
-    parent = list(index.values())
+        index = space.index()
+    # union-find over enumeration ranks; the smaller root wins, so every
+    # root is its component's first arrangement and parent[i] <= i
+    if total <= _LIST_STATES:
+        _ranks.extend(range(len(_ranks), total))
+        parent = _ranks[:total]
+    else:
+        parent = array("l", range(total))
     if table is not None:
         # rank pairs from the shared table, per X-edge and Y-edge
         links = 0
@@ -686,10 +822,10 @@ def build_components(
                 it = iter(pairs)
                 for i, j in zip(it, it):
                     # _UnionFind.union(i, j) inlined
-                    while parent[i] != i:
-                        parent[i] = i = parent[parent[i]]
-                    while parent[j] != j:
-                        parent[j] = j = parent[parent[j]]
+                    while (r := parent[i]) != i:
+                        parent[i] = i = parent[r]
+                    while (r := parent[j]) != j:
+                        parent[j] = j = parent[r]
                     if i < j:
                         parent[j] = i
                     elif j < i:

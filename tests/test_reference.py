@@ -52,9 +52,9 @@ def multiplicity_graphs(draw, total):
 
 
 @st.composite
-def instances(draw):
+def instances(draw, max_positions=6):
     variant = draw(st.sampled_from(("fs", "fsm", "fsmm")))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_positions))
     if variant == "fs":
         return variant, draw(simple_graphs(n)), draw(simple_graphs(n))
     if variant == "fsm":
@@ -82,11 +82,14 @@ def test_build_components_matches_reference(inst):
 @settings(max_examples=150, deadline=None)
 @given(instances())
 def test_tuple_kernel_matches_reference(inst):
-    # with no shared tables every fs/fsm space takes the tuple kernel
+    # with no shared tables every fs/fsm space takes the tuple kernel, and
+    # with no list bound every space keeps its parents in an array
     variant, x, y = inst
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statespace, "_TABLE_STATES", 0)
+        mp.setattr(statespace, "_LIST_STATES", 0)
         live = build_components(x, y, variant=variant)
+    assert isinstance(live.component_id.ids, statespace.array)
     assert live.component_id.index is not statespace._state_table(
         as_multiplicity(y).mult).index
     _assert_same_report(live, reference.build_components(x, y, variant=variant))
@@ -202,6 +205,13 @@ def test_fsmm_cells_above_a_byte_match_reference(x, y):
     assert all(live.component_of(a) == i for a, i in ref.component_id.items())
 
 
+P4_UNITS = as_multiplicity(path_graph(4))
+# each half of these is a half of some arrangement, but the two do not fit
+# together: the labels repeat, the column sums disagree
+UNFIT = [(path_graph(4), path_graph(4), "fs", (0, 1, 0, 1)),
+         (P4_UNITS, P4_UNITS, "fsmm", ((1, 0, 0, 0), (0, 1, 0, 0)) * 2)]
+
+
 @pytest.mark.parametrize("x, y, variant, outside", [
     # (1, 2) reads as the same number as (0, 1, 2)
     (path_graph(3), path_graph(3), "fs", [(1, 2), (0, 1, 2, 0), (0, 1, 256),
@@ -209,13 +219,47 @@ def test_fsmm_cells_above_a_byte_match_reference(x, y):
     (as_multiplicity(path_graph(2)), as_multiplicity(path_graph(2)), "fsmm",
      [((1, 0, 0), (1,)), ((1,), (0, 1)), ((1, 0),), ((1, 0), (0, -1)),
       ((1, 0), (0, "1"))]),
-])
+] + [(x, y, variant, [a]) for x, y, variant, a in UNFIT])
 def test_component_of_rejects_what_is_not_an_arrangement(x, y, variant, outside):
     ids = build_components(x, y, variant=variant).component_id
     for a in outside:
         assert a not in ids
         with pytest.raises(KeyError):
             ids[a]
+
+
+@pytest.mark.parametrize("x, y, variant, a", UNFIT)
+def test_unfit_halves_are_each_in_the_rank_index(x, y, variant, a):
+    # so the rejection above comes from fitting the halves, not from either
+    index = build_components(x, y, variant=variant).component_id.index
+    code = space_for(x, y, variant).code(a)
+    assert code >> index.shift in index.prefix
+    assert code & index.mask in index.suffix
+
+
+@st.composite
+def wide_cells(draw):
+    """fsmm instances with a column of at least 256, so two bytes a cell."""
+    columns = [draw(st.integers(256, 300))] + draw(
+        st.lists(st.integers(1, 3), max_size=2))
+    total = sum(columns)
+    cuts = sorted(draw(st.lists(st.integers(1, total - 1), max_size=2,
+                                unique=True)))
+    rows = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    return ("fsmm", MultiplicityGraph(draw(simple_graphs(len(rows))), rows),
+            MultiplicityGraph(draw(simple_graphs(len(columns))), columns))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(instances(), instances(max_positions=2), wide_cells()))
+def test_rank_index_ranks_every_arrangement_in_order(inst):
+    variant, x, y = inst
+    space = space_for(x, y, variant)
+    index = space.index()
+    assert list(index) == list(space.codes())
+    assert len(index) == space.count()
+    for rank, a in enumerate(space.enumerate()):
+        assert index[space.code(a)] == rank
 
 
 @settings(max_examples=100, deadline=None)

@@ -660,7 +660,7 @@ def test_warm_budgets_give_the_cold_answers_and_raises(n):
                 assert got == expected, (g, h, u, v, budget)
 
 
-def test_kept_slot_costs_at_most_112_bytes_a_state():
+def test_kept_slot_costs_at_most_24_bytes_a_state():
     # the 56 queries of one oracle-many repetition
     x, y = cycle_graph(8), complement(path_graph(8))
     rng = random.Random(8)
@@ -681,13 +681,13 @@ def test_kept_slot_costs_at_most_112_bytes_a_state():
     assert 0 < sum(answers) < len(answers)
     states = space_for(x, y, "fs").count()
     assert states == 40_320 == statespace._SLOT_STATES
-    # measured: about 104 B a state, the report's index and ids
-    assert kept <= 112 * states
+    # measured: about 19.7 B a state, the report's 8 B ids and its index
+    assert kept <= 24 * states
 
 
-def test_build_components_peak_under_160_bytes_a_state():
+def test_build_components_peak_under_31_bytes_a_state():
     # FS(K4,4, C8): 40,320 arrangements, above the 7! table bound, so the
-    # index is this call's own, keyed by the arrangements' int codes
+    # rank index is this call's own
     x, y = complete_bipartite_graph(4, 4), cycle_graph(8)
     build_components(x, y)   # compiles the space's union kernel
     gc.collect()
@@ -702,9 +702,9 @@ def test_build_components_peak_under_160_bytes_a_state():
         tracemalloc.stop()
     states = report.vertex_count
     assert states == 40_320 > statespace._TABLE_STATES
-    # measured: 104 B a state at the peak, all of it kept by the report
-    assert peak <= 160 * states
-    assert kept <= 112 * states
+    # measured: 25.2 B a state at the peak, 19.9 B of it kept by the report
+    assert peak <= 31 * states
+    assert kept <= 24 * states
 
 
 def test_a_query_above_the_state_bound_keeps_nothing():

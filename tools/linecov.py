@@ -7,7 +7,9 @@ executable lines that never ran.  Test subprocesses that start Python
 placed first on their ``PYTHONPATH``.  A line counts as executable when
 the compiler gave it bytecode.
 
-Exits 0 when every never-run line is one of ``EXEMPT``, 1 otherwise.
+Exits 0 when every never-run line is one of ``EXEMPT``, 1 otherwise, and
+2 when a file of ``src/fsglab`` changed during the run: the report reads
+line numbers against the text each file had when the run started.
 Takes several minutes (about six times plain tier-1), so it is not part of
 tier-1.
 
@@ -64,11 +66,22 @@ sys.settrace(_global)
 '''
 
 
-def executable_lines(path: str) -> dict[int, str]:
-    """Each line that has bytecode, mapped to the qualified name of the
-    innermost code object it belongs to."""
-    with open(path, encoding="utf-8") as fh:
-        code = compile(fh.read(), path, "exec")
+def sources() -> dict[str, str]:
+    """The text of each module of ``src/fsglab``, by path."""
+    texts = {}
+    for fname in sorted(os.listdir(PKG)):
+        if fname.endswith(".py"):
+            path = os.path.join(PKG, fname)
+            with open(path, encoding="utf-8") as fh:
+                texts[path] = fh.read()
+    return texts
+
+
+def executable_lines(path: str, text: str) -> dict[int, str]:
+    """Each line of ``text``, the source of ``path``, that has bytecode,
+    mapped to the qualified name of the innermost code object it belongs
+    to."""
+    code = compile(text, path, "exec")
     owner: dict[int, str] = {}
 
     def walk(co, depth):
@@ -132,16 +145,22 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     os.chdir(ROOT)
+    texts = sources()
     status, hits = run_traced(args or ["tests"])
+    after = sources()
+    changed = [path for path in sorted(texts.keys() | after.keys())
+               if texts.get(path) != after.get(path)]
+    if changed:
+        print("changed during the run, so its line numbers are not the traced "
+              "ones: " + ", ".join(os.path.relpath(p, ROOT) for p in changed),
+              file=sys.stderr)
+        return 2
     total = missed = unexplained = 0
     print()
-    for fname in sorted(os.listdir(PKG)):
-        if not fname.endswith(".py"):
-            continue
-        path = os.path.join(PKG, fname)
-        lines = executable_lines(path)
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read().splitlines()
+    for path, source in texts.items():
+        fname = os.path.basename(path)
+        lines = executable_lines(path, source)
+        text = source.splitlines()
         never = sorted(set(lines) - hits.get(path, set()))
         total += len(lines)
         missed += len(never)
