@@ -681,7 +681,7 @@ def test_kept_slot_costs_at_most_24_bytes_a_state():
     assert 0 < sum(answers) < len(answers)
     states = space_for(x, y, "fs").count()
     assert states == 40_320 == statespace._SLOT_STATES
-    # measured: about 19.7 B a state, the report's 8 B ids and its index
+    # measured: about 19.6 B a state, the report's 8 B ids and its index
     assert kept <= 24 * states
 
 
@@ -702,7 +702,7 @@ def test_build_components_peak_under_31_bytes_a_state():
         tracemalloc.stop()
     states = report.vertex_count
     assert states == 40_320 > statespace._TABLE_STATES
-    # measured: 25.2 B a state at the peak, 19.9 B of it kept by the report
+    # measured: 25.1 B a state at the peak, 19.7 B of it kept by the report
     assert peak <= 31 * states
     assert kept <= 24 * states
 
