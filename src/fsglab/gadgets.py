@@ -465,6 +465,8 @@ _NEIGHBOR_ROWS = {
 def validate_gadget(pair: GadgetPair, p3_samples: int = 200,
                     seed: int = 0) -> GadgetReport:
     """Run the full structural audit on a built pair."""
+    if p3_samples < 1:
+        raise ValueError(f"p3_samples must be at least 1, got {p3_samples}")
     rep = GadgetReport()
     params = pair.params
     g, h = pair.g, pair.h

@@ -260,8 +260,9 @@ class ExperimentConfig:
             raise ValueError("'p_grid' values must lie in [0, 1]")
         if self.trials < 1:
             raise ValueError("'trials' must be at least 1")
-        if self.n < 0:
-            raise ValueError("'n' must be nonnegative")
+        for key in ("n", "node_budget", "state_budget"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key!r} must be nonnegative")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":

@@ -10,14 +10,17 @@ Three variants share one interface, served by two space classes:
   are count matrices (rows = labels, columns = positions).
 
 Arrangements are plain tuples.  Each also has an int code, its entries
-read as one base-256 number (``code``, ``codes``): an fs/fsm arrangement's
-labels with position 0 most significant, ``int.from_bytes(bytes(a),
-"big")``; an fsmm arrangement's cells row by row, ``width`` bytes a cell,
-so that a cell above 255 neither raises nor collides.  A ``_RankIndex``
-maps each code to its enumeration rank from two small tables, one keyed by
-the codes' leading digits and one by the rest, and stores no code of a
-whole arrangement: an FS(K4,5, C9) build peaks at about 15 B per state,
-against 148 B with a dict keyed by every code and 222 B with tuple keys.
+read as one base-256 number (``code``, and its inverse ``decode``): an
+fs/fsm arrangement's labels with position 0 most significant,
+``int.from_bytes(bytes(a), "big")``; an fsmm arrangement's cells row by
+row, ``width`` bytes a cell, so that a cell above 255 neither raises nor
+collides.  A ``_RankIndex`` maps each code to its enumeration rank from
+two small tables, one keyed by the codes' leading digits and one by the
+rest, and stores no code of a whole arrangement: an FS(K4,5, C9) build
+peaks at about 15 B per state, against 148 B with a dict keyed by every
+code and 222 B with tuple keys.  Its iteration is the one enumerator: it
+yields the codes in lexicographic order, and a space's ``enumerate``
+decodes them.
 
 Two traversals answer every reachability question, and nothing else here
 walks a state space:
@@ -87,7 +90,7 @@ entry in enumeration order, read through the index, which no call writes:
 an ``array('l')``, or up to ``_LIST_STATES`` = 8! arrangements a slice of
 one shared list of rank ints, whose reads allocate nothing.  A report keeps its index and ids, about 14 B per
 state for FS(K4,5, C9), and reads an arrangement as
-``ids[index[code(a)]]``; its iteration enumerates the space again.  Larger
+``ids[index[code(a)]]``; its iteration decodes its index.  Larger
 tables are not kept: a cached table outlives its report.  At the bound a
 table holds 0.23 MB, or 0.73 MB with the swaps of all 21 position pairs.
 """
@@ -319,15 +322,7 @@ class FSmSpace(_GeneratedMoves):
         return c
 
     def enumerate(self) -> Iterator[tuple[int, ...]]:
-        # the same lexicographic order, from C rather than Algorithm L in
-        # Python
-        if all(k == 1 for k in self.y.mult):
-            return itertools.permutations(range(self.x.n))
-        return _multiset_permutations(self.y.mult)
-
-    def codes(self) -> Iterator[int]:
-        return map(int.from_bytes, map(bytes, self.enumerate()),
-                   itertools.repeat("big"))
+        return map(self.decode, self.index())
 
     def code(self, a: Sequence[int]) -> int:
         """``a`` read as a base-256 number, position 0 most significant.
@@ -336,6 +331,12 @@ class FSmSpace(_GeneratedMoves):
         if len(a) != self.x.n:
             raise ValueError(f"arrangement {a!r} has {len(a)} positions")
         return int.from_bytes(bytes(a), "big")
+
+    def decode(self, c: int) -> tuple[int, ...]:
+        return tuple(c.to_bytes(self.x.n, "big"))
+
+    def largest_entry(self) -> int:
+        return self.y.base.n - 1
 
     def index(self) -> "_RankIndex":
         return _label_index(self.y.mult)
@@ -381,11 +382,7 @@ class FSmmSpace(_GeneratedMoves):
         return contingency_count(self.x.mult, self.y.mult)
 
     def enumerate(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        return self._fill(lambda row, weight: (row,), ())
-
-    def codes(self) -> Iterator[int]:
-        return self._fill(lambda row, weight: int.from_bytes(
-            self._row_bytes(row), "big") * weight, 0)
+        return map(self.decode, self.index())
 
     def code(self, a) -> int:
         """The cells of ``a`` row by row, read as a number in base
@@ -394,6 +391,19 @@ class FSmmSpace(_GeneratedMoves):
             raise ValueError(f"arrangement {a!r} is not {self.x.base.n} rows "
                              f"of {self.y.base.n} cells")
         return int.from_bytes(b"".join(map(self._row_bytes, a)), "big")
+
+    def decode(self, c: int) -> tuple[tuple[int, ...], ...]:
+        nx, ny, w = self.x.base.n, self.y.base.n, self.width
+        cells = c.to_bytes(nx * ny * w, "big")
+        if w > 1:
+            cells = [int.from_bytes(cells[k:k + w], "big")
+                     for k in range(0, len(cells), w)]
+        return tuple(tuple(cells[u * ny:(u + 1) * ny]) for u in range(nx))
+
+    def largest_entry(self) -> int:
+        """A cell is at most its row's and its column's multiplicity, and
+        some arrangement puts min(r, c) in any one cell."""
+        return min(max(self.x.mult, default=0), max(self.y.mult, default=0))
 
     def index(self) -> "_RankIndex":
         """A step fills one row under the column room the earlier rows
@@ -414,61 +424,10 @@ class FSmmSpace(_GeneratedMoves):
             return bytes(row)
         return b"".join(int.to_bytes(cell, w, "big") for cell in row)
 
-    def _fill(self, part, empty):
-        """Every arrangement in enumeration order, as the sum from ``empty``
-        of ``part(row, weight)`` over its rows, where ``weight`` is the
-        weight of the row's last cell in the arrangement's code."""
-        rows = self.x.mult
-        row_base = 256 ** (self.width * self.y.base.n)
-        # the parts of the rows that fit row i under each column room, with
-        # the room left; many prefixes leave the same room
-        options: dict = {}
-
-        def fill(i: int, room: tuple[int, ...], acc):
-            if i == len(rows):
-                yield acc
-                return
-            opts = options.get((i, room))
-            if opts is None:
-                weight = row_base ** (len(rows) - 1 - i)
-                opts = options[i, room] = [
-                    (part(row, weight), tuple(r - v for r, v in zip(room, row)))
-                    for row in compositions(rows[i], room)
-                ]
-            for p, left in opts:
-                yield from fill(i + 1, left, acc + p)
-
-        return fill(0, self.y.mult, empty)
-
     def _moves(self, name: str):
         x, y = self.x.base, self.y.base
         return _fsmm_moves(name, x.n, x.edge_list, y.n, y.edge_list,
                            self.width)(None)
-
-
-def _multiset_permutations(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All vectors using label i exactly counts[i] times, lexicographically.
-
-    Knuth's Algorithm L (TAOCP 7.2.1.2): start from the sorted vector and
-    step to the next permutation in place.
-    """
-    a = [lab for lab, c in enumerate(counts) for _ in range(c)]
-    last = len(a) - 1
-    while True:
-        yield tuple(a)
-        # a[j + 1:] is the longest non-increasing suffix
-        j = last - 1
-        while j >= 0 and a[j] >= a[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        # swap a[j] with the rightmost larger entry, then make the suffix
-        # increasing
-        k = last
-        while a[j] >= a[k]:
-            k -= 1
-        a[j], a[k] = a[k], a[j]
-        a[j + 1:] = a[:j:-1]
 
 
 def space_for(x, y, variant: str):
@@ -644,30 +603,16 @@ def _arrangement_key(a) -> str:
     return ",".join(map(str, a))
 
 
-def _keys_in_order(arrangements) -> bool:
-    """Whether the ``_arrangement_key`` strings of ``arrangements`` come in
-    sorted order.  Keys of one space have their separators in the same
-    places, so while every entry has one digit, key order is arrangement
-    order."""
-    prev = None
-    for a in arrangements:
-        entries = itertools.chain.from_iterable(a) \
-            if a and isinstance(a[0], tuple) else a
-        if max(entries, default=0) > 9 or (prev is not None and a < prev):
-            return False
-        prev = a
-    return True
-
-
-def _id_members(component_id: Mapping) -> Iterator[str]:
+def _id_members(component_id: "_ComponentIds") -> Iterator[str]:
     """The ``"key": id`` members of the ``component_id`` object in key
     order, joined by ", " in pieces of 4,096 members.
 
-    When enumeration order is key order the members are formatted as they
-    come; otherwise they are sorted (a quote sorts before any key character,
-    so members sort as their keys do)."""
+    Keys of one space have their separators in the same places, so while
+    every entry has one digit key order is enumeration order, and the
+    members are formatted as they come; otherwise they are sorted (a quote
+    sorts before any key character, so members sort as their keys do)."""
     members = (f'"{_arrangement_key(a)}": {i}' for a, i in component_id.items())
-    if not _keys_in_order(component_id):
+    if component_id.space.largest_entry() > 9:
         members = iter(sorted(members))
     sep = ""
     while piece := list(itertools.islice(members, 4096)):
@@ -682,8 +627,7 @@ class _ComponentIds(Mapping):
     enumeration order and may be shared with other reports, so nothing
     writes to it; ``ids``, 8 B an arrangement (an ``array('l')``, or a list
     on spaces of at most ``_LIST_STATES``), holds the component ids in
-    that order.  Iteration enumerates the space
-    again."""
+    that order.  Iteration decodes the index."""
 
     __slots__ = ("space", "index", "ids")
 
@@ -700,7 +644,7 @@ class _ComponentIds(Mapping):
         return self.ids[self.index[code]]
 
     def __iter__(self):
-        return self.space.enumerate()
+        return map(self.space.decode, self.index)
 
     def __len__(self) -> int:
         return len(self.ids)

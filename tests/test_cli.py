@@ -276,11 +276,15 @@ ISO = {"model": "gnp", "n": 6, "p_grid": [0.0, 0.5, 1.0], "trials": 3,
     ({**ISO, "n": 6.0}, "'n'"),
     ({**ISO, "n": -2}, "'n'"),
     ({**ISO, "trials": 0}, "'trials'"),
+    # a negative budget would censor every trial
+    ({**ISO, "node_budget": -1}, "'node_budget' must be nonnegative"),
+    ({**ISO, "state_budget": -1}, "'state_budget' must be nonnegative"),
     ({**ISO, "p_grid": [0.5, 1.5]}, "'p_grid'"),
     ({**ISO, "trails": 3}, "'trails'"),
     ({k: v for k, v in ISO.items() if k != "statistic"}, "'statistic'"),
 ], ids=["list", "p_grid-number", "p_grid-string", "trials-string",
         "trials-bool", "n-float", "n-negative", "trials-zero",
+        "node_budget-negative", "state_budget-negative",
         "p_grid-range", "misspelled", "missing"])
 def test_sweep_rejects_bad_config(workdir, capsys, config, named):
     with open("bad.json", "w") as fh:
@@ -303,6 +307,13 @@ def test_gadget_validate_pass_and_infeasible(workdir, capsys):
     # test_c11_gadget_edge_budget_as_stated for the bound), so full
     # validation reports the disagreement exit code
     assert code == 4 and not checks["p4_edge_budget"]["passed"]
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_gadget_validate_rejects_fewer_than_one_p3_sample(workdir, capsys, samples):
+    assert main(["gadget", "--rho", "1", "--m", "16", "--validate",
+                 "--p3-samples", samples]) == 2
+    assert "p3_samples must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, seed", [

@@ -39,5 +39,15 @@ def test_an_unchanged_file_is_reported_by_its_traced_lines(tmp_path, monkeypatch
     hits = {str(mod): {0, 1}}   # line 0 is the module's entry
     assert _linecov(tmp_path, monkeypatch, lambda args: (0, hits)).main([]) == 1
     out = capsys.readouterr().out
-    assert "mod.py: 1 of 3 executable lines never ran" in out
+    assert "mod.py: 1 of 2 executable lines never ran" in out
     assert "2 <module>: y = 2" in out
+
+
+def test_line_0_is_not_an_executable_line(tmp_path, monkeypatch, capsys):
+    mod = tmp_path / "mod.py"
+    mod.write_text("x = 1\ny = 2\n")
+    hits = {str(mod): {1, 2}}
+    linecov = _linecov(tmp_path, monkeypatch, lambda args: (0, hits))
+    assert set(linecov.executable_lines(str(mod), mod.read_text())) == {1, 2}
+    assert linecov.main([]) == 0
+    assert "mod.py: 0 of 2 executable lines never ran" in capsys.readouterr().out

@@ -32,7 +32,7 @@ from fsglab.orientations import (
     permutation_class_count,
 )
 from fsglab.randomlab import PackingBudgetError, find_packing, sample_gnp, trial_seed
-from fsglab.statespace import FSmSpace, _multiset_permutations, build_components, space_for
+from fsglab.statespace import FSmSpace, build_components, space_for
 
 
 @st.composite
@@ -173,7 +173,7 @@ def test_codes_round_trip_and_component_of(inst, table):
     ref = reference.build_components(x, y, variant=variant)
     arrangements = list(ref.component_id)
     codes = [space.code(a) for a in arrangements]
-    assert list(space.codes()) == codes
+    assert list(map(space.decode, codes)) == arrangements
     assert list(live.component_id.index) == codes
     width = getattr(space, "width", 1)
     for a, c in zip(arrangements, codes):
@@ -256,10 +256,24 @@ def test_rank_index_ranks_every_arrangement_in_order(inst):
     variant, x, y = inst
     space = space_for(x, y, variant)
     index = space.index()
-    assert list(index) == list(space.codes())
+    arrangements = list(reference.space_for(x, y, variant).enumerate())
+    assert list(index) == [space.code(a) for a in arrangements]
     assert len(index) == space.count()
-    for rank, a in enumerate(space.enumerate()):
+    for rank, a in enumerate(arrangements):
         assert index[space.code(a)] == rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(instances(), instances(max_positions=2), wide_cells()))
+def test_enumeration_decodes_the_reference_order(inst):
+    # decode inverts code, and the largest entry of any arrangement is the
+    # space's largest_entry
+    variant, x, y = inst
+    space = space_for(x, y, variant)
+    arrangements = list(reference.space_for(x, y, variant).enumerate())
+    assert [space.decode(space.code(a)) for a in arrangements] == arrangements
+    assert list(space.enumerate()) == arrangements
+    assert max(max(_entries(a)) for a in arrangements) == space.largest_entry()
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,8 +300,6 @@ def test_forward_neighbors_give_each_link_once(inst):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 4), max_size=6).filter(lambda c: sum(c) <= 8))
 def test_multiset_enumeration_matches_reference(counts):
-    ref = list(reference._multiset_permutations(list(counts), sum(counts)))
-    assert list(_multiset_permutations(counts)) == ref
     positive = [c for c in counts if c]
     if positive:
         labels = MultiplicityGraph(edgeless_graph(len(positive)), positive)

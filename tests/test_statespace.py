@@ -216,6 +216,7 @@ K2 = SimpleGraph(2, [(0, 1)])
     (MultiplicityGraph(path_graph(3), (10, 10, 3)),
      MultiplicityGraph(K2, (12, 11)), "fsmm"),
     (edgeless_graph(0), edgeless_graph(0), "fs"),
+    (edgeless_graph(0), edgeless_graph(0), "fsmm"),
 ])
 def test_json_text_is_the_sorted_dump_of_the_key_dict(x, y, variant):
     rep = build_components(x, y, variant=variant)

@@ -80,13 +80,13 @@ def sources() -> dict[str, str]:
 def executable_lines(path: str, text: str) -> dict[int, str]:
     """Each line of ``text``, the source of ``path``, that has bytecode,
     mapped to the qualified name of the innermost code object it belongs
-    to."""
+    to.  Line 0, a module's entry, is no line of the text."""
     code = compile(text, path, "exec")
     owner: dict[int, str] = {}
 
     def walk(co, depth):
         for _, _, line in co.co_lines():
-            if line is not None and owner.get(line, (None, -1))[1] < depth:
+            if line and owner.get(line, (None, -1))[1] < depth:
                 owner[line] = (co.co_qualname, depth)
         for const in co.co_consts:
             if hasattr(const, "co_lines"):
