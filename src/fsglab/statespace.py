@@ -17,7 +17,7 @@ row, ``width`` bytes a cell, so that a cell above 255 neither raises nor
 collides.  A ``_RankIndex`` maps each code to its enumeration rank from
 two small tables, one keyed by the codes' leading digits and one by the
 rest, and stores no code of a whole arrangement: an FS(K4,5, C9) build
-peaks at about 15 B per state, against 148 B with a dict keyed by every
+peaks at about 12 B per state, against 148 B with a dict keyed by every
 code and 222 B with tuple keys.  Its iteration is the one enumerator: it
 yields the codes in lexicographic order, and a space's ``enumerate``
 decodes them.
@@ -54,45 +54,49 @@ link is exactly one forward move, from one of its two ends.
 ``build_components`` makes forward moves only, so it sees each link once
 and its ``edge_count`` is the number of forward moves.
 
-Each space has two move functions, generated Python, one source per
-function and X shape (fsmm: X and Y shape), cached and formatted from
-integers only, with no loop over the edges:
+Moves are generated Python, one source per function and X shape (fsmm:
+X and Y shape), cached and formatted from integers only, with no loop over
+the edges:
 
-* ``fresh_neighbors(a, seen)`` unpacks the tuple once, tests each move on
-  named entries and builds each neighbour as a tuple display;
-  ``neighbors(a)`` is ``fresh_neighbors(a, set())``;
-* ``union_links(index, parent)`` walks the index's codes in rank order,
-  unpacks each with one ``to_bytes``, tests each forward move on named
-  entries, computes the neighbour's code arithmetically (fs/fsm
-  ``c + (a_q - a_p) * (256**(n-1-p) - 256**(n-1-q))``, fsmm ``c`` plus a
-  constant per move), ranks it with the index's two tables and unions
-  the two ranks.  The fsmm kernel first collects a state's neighbour codes
-  and unions them in one loop: it runs slower but compiles in a third of
-  the time, and most fsmm spaces are small.
+* ``fresh_neighbors(a, seen)``, on every space, unpacks the tuple once,
+  tests each move on named entries and builds each neighbour as a tuple
+  display; ``neighbors(a)`` is ``fresh_neighbors(a, set())``;
+* ``union_links(index, parent)``, on fsmm spaces only, walks the index's
+  codes in rank order, unpacks each with one ``to_bytes``, collects the
+  codes of its forward moves (``c`` plus a constant per move), ranks each
+  with the index's two tables and unions the ranks.
 
-A space generates a function on its first use, not when it is built: the
-table path below never makes a move, and a benchmark repetition builds
-about 2,000 such spaces.  Compiling costs about 1 ms a function.
+A space generates a function on its first use, not when it is built:
+``build_components`` makes no fs/fsm move, and a benchmark repetition
+builds about 2,000 such spaces.  Compiling costs about 1 ms a function.
 
-``build_components`` reads the moves from one of two link sources:
+``build_components`` unions the links of an fs/fsm space block by block
+(``_union_blocks``), from rank pairs that no arrangement's own moves
+compute.  A block is the arrangements that share their first k entries,
+a prefix of the rank index; its ranks are contiguous, ordered as its
+suffixes are among those that fill the room (label counts) the prefix
+leaves.  A room's ``_StateTable`` holds, per position pair, the local
+rank pairs of every swap keyed by the two labels.  An X-edge (p, q) is a
+prefix link (q < k, one test a block, then rank by rank to the block of
+the swapped prefix), a suffix link (k <= p, the room's swap pairs, the
+same in each of its blocks) or a cross link (p < k <= q, pairs a room
+makes once per (q, label on q, label on p) and unions against the block
+whose prefix takes the label from q).  Larger spaces split at the index's
+k and build each room's table once, as the walk over the blocks grouped
+by room reaches it, and keep none.  A space of at most ``_TABLE_STATES``
+= 7! arrangements is one block, k = 0, whose room is the cached table of
+its label counts: every space with those counts shares it, relabelled
+inputs included, and the report keeps its index.
 
-* fs/fsm spaces with at most ``_TABLE_STATES`` = 7! arrangements use the
-  ``_StateTable`` of their label counts: a rank index and, per position
-  pair, the rank pairs of every swap, keyed by the two labels.  The table
-  depends only on the counts, so every space with them shares one,
-  relabelled inputs included, and a call makes no move and looks up no
-  arrangement: it unions the rank pairs of each X-edge and Y-edge.
-* Larger spaces, and fsmm, build a rank index of their own and call
-  ``union_links``.
-
-Either way the union-find parents, and then the component ids, are 8 B an
-entry in enumeration order, read through the index, which no call writes:
-an ``array('l')``, or up to ``_LIST_STATES`` = 8! arrangements a slice of
-one shared list of rank ints, whose reads allocate nothing.  A report keeps its index and ids, about 14 B per
-state for FS(K4,5, C9), and reads an arrangement as
-``ids[index[code(a)]]``; its iteration decodes its index.  Larger
-tables are not kept: a cached table outlives its report.  At the bound a
-table holds 0.23 MB, or 0.73 MB with the swaps of all 21 position pairs.
+The union-find parents, and then the component ids, are an entry a state
+in enumeration order, read through the index, which no call writes: up to
+``_LIST_STATES`` = 8! arrangements a slice of one shared list of rank
+ints, whose reads allocate nothing, and above it an ``array('i')``, 4 B a
+state (``array('l')`` past 2**31 states).  A report keeps its index and
+ids, about 10 B per state for FS(K4,5, C9), and reads an arrangement as
+``ids[index[code(a)]]``; its iteration decodes its index.  A cached table
+outlives its report; at the 7! bound it holds 0.23 MB, or 0.73 MB with
+the swaps of all 21 position pairs.
 """
 
 from __future__ import annotations
@@ -104,6 +108,7 @@ import math
 from array import array
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 from .graphs import (
@@ -140,15 +145,15 @@ class InvalidArrangementError(ValueError):
 
 # -- moves --------------------------------------------------------------------
 
-_MOVES = ("fresh_neighbors", "union_links")
-
 
 class _GeneratedMoves:
     """Generates each of the space's ``_MOVES`` on its first use and keeps
     it on the instance, where later lookups find it."""
 
+    _MOVES: tuple[str, ...] = ("fresh_neighbors",)
+
     def __getattr__(self, name: str):
-        if name not in _MOVES:
+        if name not in self._MOVES:
             raise AttributeError(name)
         move = self.__dict__[name] = self._moves(name)
         return move
@@ -173,8 +178,7 @@ def _unpack_code(names: Sequence[str], width: int) -> list[str]:
         for k, name in enumerate(names)]
 
 
-def _compile_move(name: str, unpack: Sequence[str], moves: Sequence[tuple],
-                  inline: bool = True):
+def _compile_move(name: str, unpack: Sequence[str], moves: Sequence[tuple]):
     """Compile ``bind(m)``, which returns the ``_MOVES`` function ``name``.
 
     ``unpack`` are statements that name the parts of an arrangement: of the
@@ -185,35 +189,25 @@ def _compile_move(name: str, unpack: Sequence[str], moves: Sequence[tuple],
     them to it.
 
     ``union_links(index, parent)`` walks the codes of ``index`` (a
-    ``_RankIndex``) in rank order, makes the forward moves whose test
-    holds, ranks each neighbour with the index's two tables, unions the
+    ``_RankIndex``) in rank order, collects the codes of the forward moves
+    whose test holds, ranks each with the index's two tables, unions the
     ranks of the two ends in ``parent`` and returns the number of moves
-    made.
-    With ``inline`` each move unions in place; otherwise the moves collect
-    the neighbours' codes and one loop unions them, which runs slower but
-    compiles in about a third of the time."""
+    made.  Collecting first runs slower than a union per move but compiles
+    in about a third of the time."""
     if name == "union_links":
         # ra is a root; a neighbour already under it costs one read
-        union = ["p = parent[rb]", "if p != ra:",
-                 " while p != rb:", "  parent[rb] = rb = parent[p]", "  p = parent[rb]",
-                 " if ra < rb:", "  parent[rb] = ra",
-                 " elif rb < ra:", "  parent[ra] = ra = rb"]
-        root = ["while (p := parent[ra]) != ra:", " parent[ra] = ra = parent[p]"]
-        body = [(test, delta) for test, forward, _, delta in moves if forward]
-        rank = "rb = prefix[rb >> shift] + suffix[rb & mask]"
-        loop = list(unpack)
-        if inline:
-            loop += root
-            for test, delta in body:
-                loop += [f"if {test}:", f" rb = c + {delta}", " " + rank, " links += 1"]
-                loop += [" " + line for line in union]
-        else:
-            loop.append("nb = []")
-            for test, delta in body:
+        loop = list(unpack) + ["nb = []"]
+        for test, forward, _, delta in moves:
+            if forward:
                 loop += [f"if {test}:", f" nb.append(c + {delta})"]
-            loop += ["if nb:", " links += len(nb)"] + [" " + line for line in root]
-            loop += [" for rb in nb:", "  " + rank]
-            loop += ["  " + line for line in union]
+        loop += ["if nb:", " links += len(nb)",
+                 " while (p := parent[ra]) != ra:", "  parent[ra] = ra = parent[p]",
+                 " for rb in nb:", "  rb = prefix[rb >> shift] + suffix[rb & mask]",
+                 "  p = parent[rb]", "  if p != ra:",
+                 "   while p != rb:", "    parent[rb] = rb = parent[p]",
+                 "    p = parent[rb]",
+                 "   if ra < rb:", "    parent[rb] = ra",
+                 "   elif rb < ra:", "    parent[ra] = ra = rb"]
         src = ["def bind(m):", " def union_links(index, parent):", "  links = 0",
                "  prefix, suffix = index.prefix, index.suffix",
                "  shift, mask = index.shift, index.mask",
@@ -234,26 +228,22 @@ def _compile_move(name: str, unpack: Sequence[str], moves: Sequence[tuple],
 
 
 @functools.lru_cache(maxsize=128)
-def _fs_moves(name: str, n: int, edges: tuple[tuple[int, int], ...]):
+def _fs_moves(n: int, edges: tuple[tuple[int, int], ...]):
     """The moves of every fs/fsm space on n positions with X-edges ``edges``:
     a swap across (p, q) when ``m[s][t]`` is 1 for the labels s = a[p] and
     t = a[q].  A position at the lower end of several X-edges reads its
-    label's row once.  The swap adds (t - s) * (256**(n-1-p) - 256**(n-1-q))
-    to the arrangement's code."""
+    label's row once."""
     names = [f"a{i:d}" for i in range(n)]
     lower = [p for p, _ in edges]
     rows = {p: f"m{p:d}" for p in lower if lower.count(p) > 1}
-    unpack = _unpack_code(names, 1) if name == "union_links" else \
-        [_tuple(names) + " = a"]
+    unpack = [_tuple(names) + " = a"]
     unpack += [f"{row} = m[a{p:d}]" for p, row in rows.items()]
     moves = []
     for p, q in edges:
         b = list(names)
         b[p], b[q] = b[q], b[p]
-        weight = 256 ** (n - 1 - p) - 256 ** (n - 1 - q)
-        moves.append((f"{rows.get(p, f'm[a{p:d}]')}[a{q:d}]", True, _tuple(b),
-                      f"(a{q:d} - a{p:d}) * {weight:d}"))
-    return _compile_move(name, unpack, moves)
+        moves.append((f"{rows.get(p, f'm[a{p:d}]')}[a{q:d}]", True, _tuple(b), None))
+    return _compile_move("fresh_neighbors", unpack, moves)
 
 
 @functools.lru_cache(maxsize=128)
@@ -293,9 +283,7 @@ def _fsmm_moves(name: str, nx: int, x_edges: tuple[tuple[int, int], ...], ny: in
                     + weight(v, src) - weight(v, dst)
                 moves.append((f"{cells[u][src]} and {cells[v][dst]}",
                                src == y1, _tuple(b), f"({delta:d})"))
-    # most fsmm spaces are small (a probe space has about 23 arrangements),
-    # so compiling costs more than the unions
-    return _compile_move(name, unpack, moves, inline=False)
+    return _compile_move(name, unpack, moves)
 
 
 # -- spaces -------------------------------------------------------------------
@@ -350,13 +338,11 @@ class FSmSpace(_GeneratedMoves):
         return tuple(counts) == self.y.mult
 
     def _moves(self, name: str):
-        # row s holds a 1 at each label t adjacent to s in Y; for the forward
-        # moves only at t > s
+        # row s holds a 1 at each label t adjacent to s in Y
         y = self.y.base
-        both = name != "union_links"
-        m = [[int((s, t) in y.edges or both and (t, s) in y.edges)
-              for t in range(y.n)] for s in range(y.n)]
-        return _fs_moves(name, self.x.n, self.x.edge_list)(m)
+        m = [[int((s, t) in y.edges or (t, s) in y.edges) for t in range(y.n)]
+             for s in range(y.n)]
+        return _fs_moves(self.x.n, self.x.edge_list)(m)
 
 
 class FSmmSpace(_GeneratedMoves):
@@ -367,6 +353,8 @@ class FSmmSpace(_GeneratedMoves):
     y1y2 in E(Y).  With all X-multiplicities equal to 1 this is exactly the
     fsm variant.
     """
+
+    _MOVES = ("fresh_neighbors", "union_links")
 
     def __init__(self, x: MultiplicityGraph, y: MultiplicityGraph):
         if x.total != y.total:
@@ -478,8 +466,10 @@ class _RankIndex(Mapping):
     (0, 1 | 0, 1)).  A lookup therefore reads the suffix in ``fits[p]``,
     the suffix table of the room prefix p leaves, one table shared by
     every prefix that leaves that room, and raises ``KeyError`` for any
-    code that is not an arrangement's.  The generated union kernels, which
-    rank only neighbours of arrangements, read the flat ``suffix``.
+    code that is not an arrangement's.  The generated fsmm union kernel,
+    which ranks only neighbours of arrangements, reads the flat ``suffix``;
+    ``build_components`` walks fs/fsm spaces block by block, a prefix and
+    its ``fits`` table at a time.
     Iteration yields the codes in rank order."""
 
     __slots__ = ("shift", "mask", "prefix", "suffix", "fits", "_len")
@@ -625,9 +615,9 @@ class _ComponentIds(Mapping):
 
     ``index`` (a ``_RankIndex``) ranks the codes of the arrangements in
     enumeration order and may be shared with other reports, so nothing
-    writes to it; ``ids``, 8 B an arrangement (an ``array('l')``, or a list
-    on spaces of at most ``_LIST_STATES``), holds the component ids in
-    that order.  Iteration decodes the index."""
+    writes to it; ``ids`` (a list on spaces of at most ``_LIST_STATES``,
+    otherwise an ``array('i')``, 4 B an arrangement) holds the component
+    ids in that order.  Iteration decodes the index."""
 
     __slots__ = ("space", "index", "ids")
 
@@ -667,28 +657,28 @@ class _IdItems(ItemsView):
         return zip(self._mapping, self._mapping.ids)
 
 
-# fs/fsm spaces with at most this many arrangements (7!) read their links
-# from the _StateTable of their label counts
+# fs/fsm spaces with at most this many arrangements (7!) are one block, whose
+# room is the shared _StateTable of their label counts
 _TABLE_STATES = 5040
 
 
 class _StateTable:
-    """The arrangements with label counts ``mult`` and their swaps, shared
-    read-only by every fs/fsm space with those counts.
+    """The arrangements that fill a room of label counts, and their swaps.
 
-    ``index`` maps the code (``FSmSpace.code``) of each arrangement to its
-    enumeration rank.  ``swaps(p, q)`` maps each label pair (s, t), s < t,
-    to a flat array of rank pairs (i, j): arrangement i holds s on position
-    p and t on q, and j is i with those two entries swapped.  For an X-edge
-    (p, q), p < q, and a Y-edge (s, t) these are the forward moves of
-    ``FSmSpace.union_links``.  Nothing here depends on X or Y.
+    ``index`` maps the code (``FSmSpace.code``) of each arrangement of
+    ``n`` positions, a whole one or the suffix of a prefix block, to its
+    rank among them, and iterates the codes in rank order.  ``swaps(p, q)``
+    maps each label pair (s, t), s < t, to a flat array of rank pairs
+    (i, j): arrangement i holds s on position p and t on q, and j is i with
+    those two entries swapped.  For an X-edge (p, q), p < q, and a Y-edge
+    (s, t) these are forward moves.  Nothing here depends on X or Y.
     """
 
     __slots__ = ("index", "_n", "_swaps")
 
-    def __init__(self, mult: tuple[int, ...]):
-        self.index = _label_index(mult)
-        self._n = sum(mult)
+    def __init__(self, index: Mapping, n: int):
+        self.index = index
+        self._n = n
         self._swaps: dict = {}
 
     def swaps(self, p: int, q: int) -> dict:
@@ -711,17 +701,141 @@ class _StateTable:
         return by_labels
 
 
-# one table per label-count vector, for as many vectors as a run cycles
-# through: a repetition of the benchmark's oracle-many or predict workload
-# uses 42 or 63
-_state_table = functools.lru_cache(maxsize=128)(_StateTable)
+# one table per label-count vector of at most 7! arrangements, for as many
+# vectors as a run cycles through: the benchmark's oracle-many workload uses
+# 42, and its predict workload 47 to 53 a repetition and 63 over 12.  The
+# rooms of larger spaces are not cached
+@functools.lru_cache(maxsize=128)
+def _state_table(mult: tuple[int, ...]) -> _StateTable:
+    """The table of every fs/fsm space with label counts ``mult``, shared
+    read-only by all of them."""
+    return _StateTable(_label_index(mult), sum(mult))
+
+
+def _rooms(index: _RankIndex, n: int) -> Iterator[tuple[_StateTable, list]]:
+    """Each room of the prefix blocks of ``index``, as the ``_StateTable``
+    of its suffixes of ``n`` entries, with the codes of the prefixes that
+    leave it.  A room's table is built when its turn comes and kept by
+    nothing here."""
+    groups: dict = {}
+    for c, suffixes in index.fits.items():
+        groups.setdefault(id(suffixes), (suffixes, []))[1].append(c)
+    for suffixes, prefixes in groups.values():
+        yield _StateTable(suffixes, n), prefixes
+
+
+def _union(parent, pairs) -> None:
+    """Unions the two ranks of each pair; the smaller root wins, so every
+    root is its component's first arrangement and parent[i] <= i."""
+    for i, j in pairs:
+        r = parent[i]
+        s = parent[j]
+        if r == s:
+            continue
+        # find each root, pointing each step at its grandparent
+        while r != (g := parent[r]):
+            parent[i] = i = g
+            r = parent[g]
+        while s != (g := parent[s]):
+            parent[j] = j = g
+            s = parent[g]
+        if r < s:
+            parent[s] = r
+        elif s < r:
+            parent[r] = s
+
+
+def _union_blocks(space: FSmSpace, parent, k: int, prefix: Mapping,
+                  fits: Mapping, rooms) -> int:
+    """Unions the links of an fs/fsm space in ``parent`` block by block and
+    returns their number.
+
+    A block is the arrangements whose first ``k`` entries are one prefix,
+    coded c; they hold the ranks from ``prefix[c]`` on, in the order of
+    their suffixes in ``fits[c]``, the suffix table of the room (label
+    counts) the prefix leaves.  ``rooms`` yields each room's
+    ``_StateTable`` with the prefixes that leave it.  An X-edge (p, q),
+    p < q, links arrangements in one of three ways:
+
+    * prefix link (q < k): where the block's prefix holds labels s < t
+      adjacent in Y on p and q, each suffix links rank by rank to the block
+      of the prefix with the two swapped;
+    * suffix link (k <= p): the room's swaps across (p - k, q - k), the
+      same local rank pairs in each of its blocks;
+    * cross link (p < k <= q): for each label t > s = a[p] adjacent to s,
+      each suffix with t on q links to the block whose prefix has t on p,
+      at the rank there of the suffix with s on q.  A room makes these
+      pairs once per (q, t, s), for all its blocks.
+    """
+    m = space.x.n - k
+    labels = space.y.base
+    up: list[list[int]] = [[] for _ in range(labels.n)]
+    for s, t in labels.edge_list:
+        up[s].append(t)
+    weight = [256 ** (k - 1 - p) for p in range(k)]
+    prefix_edges = [(p, q, weight[p] - weight[q])
+                    for p, q in space.x.edge_list if q < k]
+    suffix_edges = [(p - k, q - k) for p, q in space.x.edge_list if k <= p]
+    cross_edges = [(p, weight[p], q - k) for p, q in space.x.edge_list
+                   if p < k <= q]
+    links = 0
+    for table, prefixes in rooms:
+        suffixes = table.index
+        size = len(suffixes)
+        local = array("i")
+        for p, q in suffix_edges:
+            swaps = table.swaps(p, q)
+            for st in labels.edge_list:
+                local.extend(swaps.get(st, ()))
+        # q -> t -> (rank, code) of each suffix with t on q
+        columns: dict = {}
+        cross: dict = {}
+        for c in prefixes:
+            b = prefix[c]
+            a = c.to_bytes(k, "big")
+            for p, q, w in prefix_edges:
+                s, t = a[p], a[q]
+                if s < t and (s, t) in labels.edges:
+                    b2 = prefix[c + (t - s) * w]
+                    _union(parent, zip(range(b, b + size), range(b2, b2 + size)))
+                    links += size
+            if local:
+                # a block at rank 0 needs no offset, and the many small
+                # spaces are one such block
+                it = map(add, local, itertools.repeat(b)) if b else iter(local)
+                _union(parent, zip(it, it))
+                links += len(local) >> 1
+            for p, w, q in cross_edges:
+                s = a[p]
+                for t in up[s]:
+                    b2 = prefix.get(c + (t - s) * w)
+                    if b2 is None:
+                        # no t is left for the suffix
+                        continue
+                    pairs = cross.get((q, t, s))
+                    if pairs is None:
+                        column = columns.get(q)
+                        if column is None:
+                            column = columns[q] = {}
+                            shift = 8 * (m - 1 - q)
+                            for j, d in enumerate(suffixes):
+                                column.setdefault(d >> shift & 255, []).append((j, d))
+                        delta = (s - t) << 8 * (m - 1 - q)
+                        there = fits[c + (t - s) * w]
+                        pairs = cross[q, t, s] = (
+                            array("i", [j for j, _ in column[t]]),
+                            array("i", [there[d + delta] for _, d in column[t]]))
+                    _union(parent, zip(map(add, pairs[0], itertools.repeat(b)),
+                                       map(add, pairs[1], itertools.repeat(b2))))
+                    links += len(pairs[0])
+    return links
 
 
 # spaces of at most this many arrangements (8!) keep their union-find
 # parents, and then their ids, in a slice of _ranks, the rank ints up to the
-# largest such space built so far (at most 1.45 MB): 8 B a state, as in an
-# array('l'), but a read allocates no int, which halves the time of the
-# many small builds
+# largest such space built so far (at most 1.45 MB): a read allocates no
+# int, which halves the time of the many small builds.  Larger spaces keep
+# them in an array('i'), 4 B a state
 _LIST_STATES = math.factorial(8)
 _ranks: list[int] = []
 
@@ -740,42 +854,26 @@ def build_components(
     total = space.count()
     if budget is not None and total > budget:
         raise BudgetExceededError(total, budget)
-    if isinstance(space, FSmSpace) and total <= _TABLE_STATES:
-        table = _state_table(space.y.mult)
-        index = table.index
-    else:
-        table = None
-        index = space.index()
-    # union-find over enumeration ranks; the smaller root wins, so every
-    # root is its component's first arrangement and parent[i] <= i
+    # union-find over enumeration ranks
     if total <= _LIST_STATES:
         _ranks.extend(range(len(_ranks), total))
         parent = _ranks[:total]
     else:
-        parent = array("l", range(total))
-    if table is not None:
-        # rank pairs from the shared table, per X-edge and Y-edge
-        links = 0
-        label_edges = space.y.base.edge_list
-        for p, q in space.x.edge_list:
-            swaps = table.swaps(p, q)
-            for st in label_edges:
-                # each label pair sits on (p, q) in some arrangement
-                pairs = swaps[st]
-                links += len(pairs) >> 1
-                it = iter(pairs)
-                for i, j in zip(it, it):
-                    # _UnionFind.union(i, j) inlined
-                    while (r := parent[i]) != i:
-                        parent[i] = i = parent[r]
-                    while (r := parent[j]) != j:
-                        parent[j] = j = parent[r]
-                    if i < j:
-                        parent[j] = i
-                    elif j < i:
-                        parent[i] = j
-    else:
+        parent = array("i" if total <= 2 ** 31 else "l", range(total))
+    if not isinstance(space, FSmSpace):
+        index = space.index()
         links = space.union_links(index, parent)
+    elif total <= _TABLE_STATES:
+        # k = 0: one block, the whole space, in the shared table
+        table = _state_table(space.y.mult)
+        index = table.index
+        links = _union_blocks(space, parent, 0, {0: 0}, {0: index},
+                              [(table, [0])])
+    else:
+        index = space.index()
+        k = space.x.n - index.shift // 8
+        links = _union_blocks(space, parent, k, index.prefix, index.fits,
+                              _rooms(index, space.x.n - k))
     # one pass in enumeration order overwrites each entry with its id
     sizes: list[int] = []
     for i, p in enumerate(parent):

@@ -81,17 +81,43 @@ def test_build_components_matches_reference(inst):
 
 @settings(max_examples=150, deadline=None)
 @given(instances())
-def test_tuple_kernel_matches_reference(inst):
-    # with no shared tables every fs/fsm space takes the tuple kernel, and
-    # with no list bound every space keeps its parents in an array
+def test_block_path_matches_reference(inst):
+    # with no shared tables every fs/fsm space walks the prefix blocks of
+    # its own rank index, split at 0 or inside, and with no list bound
+    # every space keeps its parents in an array of 4 B entries
     variant, x, y = inst
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statespace, "_TABLE_STATES", 0)
         mp.setattr(statespace, "_LIST_STATES", 0)
         live = build_components(x, y, variant=variant)
-    assert isinstance(live.component_id.ids, statespace.array)
+    assert live.component_id.ids.typecode == "i"
     assert live.component_id.index is not statespace._state_table(
         as_multiplicity(y).mult).index
+    _assert_same_report(live, reference.build_components(x, y, variant=variant))
+
+
+def _link_kinds(x, k):
+    return {"prefix" if q < k else "suffix" if k <= p else "cross"
+            for p, q in x.edge_list}
+
+
+@pytest.mark.parametrize("x, y, variant, kinds", [
+    # K4,4 with parts {0, 1, 4, 5} and {2, 3, 6, 7}
+    (SimpleGraph(8, [(p, q) for p in (0, 1, 4, 5) for q in (2, 3, 6, 7)]),
+     cycle_graph(8), "fs", {"prefix", "suffix", "cross"}),
+    # 22,680 arrangements, labels repeating in the prefix and the suffix
+    (cycle_graph(9), MultiplicityGraph(path_graph(5), (2, 2, 2, 2, 1)), "fsm",
+     {"prefix", "suffix", "cross"}),
+    # two K4 on either side of the split: no room has a cross link
+    (SimpleGraph(8, [(p, q) for p, q in itertools.combinations(range(8), 2)
+                     if (p < 4) == (q < 4)]),
+     path_graph(8), "fs", {"prefix", "suffix"}),
+])
+def test_block_path_above_the_table_bound_matches_reference(x, y, variant, kinds):
+    live = build_components(x, y, variant=variant)
+    k = x.n - live.component_id.index.shift // 8
+    assert live.vertex_count > statespace._TABLE_STATES and 0 < k < x.n
+    assert _link_kinds(x, k) == kinds
     _assert_same_report(live, reference.build_components(x, y, variant=variant))
 
 

@@ -690,7 +690,7 @@ def test_build_components_peak_under_31_bytes_a_state():
     # FS(K4,4, C8): 40,320 arrangements, above the 7! table bound, so the
     # rank index is this call's own
     x, y = complete_bipartite_graph(4, 4), cycle_graph(8)
-    build_components(x, y)   # compiles the space's union kernel
+    build_components(x, y)   # grows the shared list of rank ints to this size
     gc.collect()
     tracemalloc.start()
     try:
@@ -706,6 +706,30 @@ def test_build_components_peak_under_31_bytes_a_state():
     # measured: 25.1 B a state at the peak, 19.7 B of it kept by the report
     assert peak <= 31 * states
     assert kept <= 24 * states
+
+
+def test_build_components_above_8_factorial_keeps_4_byte_ids():
+    # FSm(C9, K7 with labels 0 and 1 twice): 90,720 arrangements, above the
+    # bound of the shared list of rank ints, so parents and ids are an
+    # array of 4 B entries.  FS(K4,5, C9) takes about 8 s under tracemalloc
+    x, y = cycle_graph(9), MultiplicityGraph(complete_graph(7), (2, 2, 1, 1, 1, 1, 1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = build_components(x, y, variant="fsm")
+        gc.collect()
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    states = report.vertex_count
+    assert states == 90_720 > statespace._LIST_STATES
+    assert report.component_id.ids.itemsize == 4
+    # measured: 14.7 B a state at the peak, 11.5 B of it kept by the report
+    # (15.5 B with 8 B ids)
+    assert peak <= 18 * states
+    assert kept <= 14 * states
 
 
 def test_a_query_above_the_state_bound_keeps_nothing():
