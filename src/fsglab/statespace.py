@@ -732,13 +732,16 @@ def _union(parent, pairs) -> None:
         s = parent[j]
         if r == s:
             continue
-        # find each root, pointing each step at its grandparent
-        while r != (g := parent[r]):
-            parent[i] = i = g
-            r = parent[g]
-        while s != (g := parent[s]):
-            parent[j] = j = g
-            s = parent[g]
+        # find each root, pointing each step at its grandparent; a root
+        # (most ends in small spaces) is read once
+        if r != i:
+            while r != (g := parent[r]):
+                parent[i] = i = g
+                r = parent[g]
+        if s != j:
+            while s != (g := parent[s]):
+                parent[j] = j = g
+                s = parent[g]
         if r < s:
             parent[s] = r
         elif s < r:
@@ -769,15 +772,18 @@ def _union_blocks(space: FSmSpace, parent, k: int, prefix: Mapping,
     """
     m = space.x.n - k
     labels = space.y.base
-    up: list[list[int]] = [[] for _ in range(labels.n)]
-    for s, t in labels.edge_list:
-        up[s].append(t)
-    weight = [256 ** (k - 1 - p) for p in range(k)]
-    prefix_edges = [(p, q, weight[p] - weight[q])
-                    for p, q in space.x.edge_list if q < k]
     suffix_edges = [(p - k, q - k) for p, q in space.x.edge_list if k <= p]
-    cross_edges = [(p, weight[p], q - k) for p, q in space.x.edge_list
-                   if p < k <= q]
+    prefix_edges = cross_edges = ()
+    # the many small spaces are one block (k = 0) with suffix links only
+    if k:
+        up: list[list[int]] = [[] for _ in range(labels.n)]
+        for s, t in labels.edge_list:
+            up[s].append(t)
+        weight = [256 ** (k - 1 - p) for p in range(k)]
+        prefix_edges = [(p, q, weight[p] - weight[q])
+                        for p, q in space.x.edge_list if q < k]
+        cross_edges = [(p, weight[p], q - k) for p, q in space.x.edge_list
+                       if p < k <= q]
     links = 0
     for table, prefixes in rooms:
         suffixes = table.index
