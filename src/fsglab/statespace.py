@@ -15,10 +15,10 @@ fs/fsm arrangement's labels with position 0 most significant,
 ``int.from_bytes(bytes(a), "big")``; an fsmm arrangement's cells row by
 row, ``width`` bytes a cell, so that a cell above 255 neither raises nor
 collides.  A ``_RankIndex`` maps each code to its enumeration rank from
-two small tables, one keyed by the codes' leading digits and one by the
-rest, and stores no code of a whole arrangement: an FS(K4,5, C9) build
-peaks at about 12 B per state, against 148 B with a dict keyed by every
-code and 222 B with tuple keys.  Its iteration is the one enumerator: it
+small tables, one keyed by the codes' leading digits and one per room by
+the rest, and stores no code of a whole arrangement: an FS(K4,5, C9)
+build peaks at about 10 B per state, against 148 B with a dict keyed by
+every code and 222 B with tuple keys.  Its iteration is the one enumerator: it
 yields the codes in lexicographic order, and a space's ``enumerate``
 decodes them.
 
@@ -42,7 +42,7 @@ of the start and the target in the ``build_components`` report of the
 space, kept for the last space answered so.  Every other query runs
 ``reachable``.  One build of FS(C8, complement of P8), 40,320 arrangements
 in 8 components, costs about as much as the few BFS walks it replaces, and
-the kept report holds about 20 B per arrangement.
+the kept report holds about 18 B per arrangement.
 
 Every move has an inverse, so the links of a space are undirected.  A
 *forward* move is, in fs/fsm, a swap across the X-edge (p, q), p < q, that
@@ -54,49 +54,49 @@ link is exactly one forward move, from one of its two ends.
 ``build_components`` makes forward moves only, so it sees each link once
 and its ``edge_count`` is the number of forward moves.
 
-Moves are generated Python, one source per function and X shape (fsmm:
-X and Y shape), cached and formatted from integers only, with no loop over
-the edges:
+``build_components`` computes no arrangement's moves: it unions its
+links block by block (``_union_blocks``), from rank pairs that depend only
+on the step layout of the space's codes (``_Steps``).  A step is one
+fs/fsm position (a byte, its label) or one fsmm row (``ny * width``
+bytes); in both, step p holds copies on some columns (its label, or the
+Y-vertices with a copy of row p), and the forward move across the X-edge
+(p, q) and the Y-edge (s, t) takes a copy from s to t on step p and one
+from t to s on step q, adding a constant to the code.  A block is the
+arrangements that share their first k steps, a prefix of the rank index;
+its ranks are contiguous, ordered as its suffixes are among those that
+fill the room (label counts, or column room) the prefix leaves.  A
+room's ``_StateTable`` holds, per step pair, the local rank pairs of
+every such move keyed by the two columns.  A move is a prefix link
+(q < k: one test a block, then rank by rank to the block of the moved
+prefix, whose room is the same), a suffix link (k <= p: the room's pairs,
+the same in each of its blocks) or a cross link (p < k <= q: pairs a room
+makes once per (q, s, t) into the room the moved prefix leaves).  Above
+one block, a first pass contracts each room's suffix links to the local
+root of each suffix and drops the room's table, so a block unions a
+spanning forest, a prefix link only the roots and a cross link each pair
+of roots once.  The split is the index's k.  An fs/fsm space of at most
+``_TABLE_STATES`` = 7! arrangements is one block, k = 0, whose room is
+the cached table of its label counts: every space with those counts
+shares it, relabelled inputs included, and the report keeps its index.
 
-* ``fresh_neighbors(a, seen)``, on every space, unpacks the tuple once,
-  tests each move on named entries and builds each neighbour as a tuple
-  display; ``neighbors(a)`` is ``fresh_neighbors(a, set())``;
-* ``union_links(index, parent)``, on fsmm spaces only, walks the index's
-  codes in rank order, unpacks each with one ``to_bytes``, collects the
-  codes of its forward moves (``c`` plus a constant per move), ranks each
-  with the index's two tables and unions the ranks.
-
-A space generates a function on its first use, not when it is built:
-``build_components`` makes no fs/fsm move, and a benchmark repetition
-builds about 2,000 such spaces.  Compiling costs about 1 ms a function.
-
-``build_components`` unions the links of an fs/fsm space block by block
-(``_union_blocks``), from rank pairs that no arrangement's own moves
-compute.  A block is the arrangements that share their first k entries,
-a prefix of the rank index; its ranks are contiguous, ordered as its
-suffixes are among those that fill the room (label counts) the prefix
-leaves.  A room's ``_StateTable`` holds, per position pair, the local
-rank pairs of every swap keyed by the two labels.  An X-edge (p, q) is a
-prefix link (q < k, one test a block, then rank by rank to the block of
-the swapped prefix), a suffix link (k <= p, the room's swap pairs, the
-same in each of its blocks) or a cross link (p < k <= q, pairs a room
-makes once per (q, label on q, label on p) and unions against the block
-whose prefix takes the label from q).  Larger spaces split at the index's
-k and build each room's table once, as the walk over the blocks grouped
-by room reaches it, and keep none.  A space of at most ``_TABLE_STATES``
-= 7! arrangements is one block, k = 0, whose room is the cached table of
-its label counts: every space with those counts shares it, relabelled
-inputs included, and the report keeps its index.
+Moves of single arrangements, for the BFS, are generated Python, one
+source per X shape (fsmm: X and Y shape), cached and formatted from
+integers only, with no loop over the edges: ``fresh_neighbors(a, seen)``
+unpacks the tuple once, tests each move on named entries and builds each
+neighbour as a tuple display; ``neighbors(a)`` is
+``fresh_neighbors(a, set())``.  A space generates it on its first use,
+not when it is built, so a build compiles nothing; compiling costs about
+1 ms a shape.
 
 The union-find parents, and then the component ids, are an entry a state
 in enumeration order, read through the index, which no call writes: up to
 ``_LIST_STATES`` = 8! arrangements a slice of one shared list of rank
 ints, whose reads allocate nothing, and above it an ``array('i')``, 4 B a
 state (``array('l')`` past 2**31 states).  A report keeps its index and
-ids, about 10 B per state for FS(K4,5, C9), and reads an arrangement as
+ids, about 8 B per state for FS(K4,5, C9), and reads an arrangement as
 ``ids[index[code(a)]]``; its iteration decodes its index.  A cached table
-outlives its report; at the 7! bound it holds 0.23 MB, or 0.73 MB with
-the swaps of all 21 position pairs.
+outlives its report; at the 7! bound it holds 0.1 MB, or 0.6 MB with the
+swaps of all 21 position pairs.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ from array import array
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from operator import add
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import (
     IncompatibleSizesError,
@@ -147,15 +147,13 @@ class InvalidArrangementError(ValueError):
 
 
 class _GeneratedMoves:
-    """Generates each of the space's ``_MOVES`` on its first use and keeps
-    it on the instance, where later lookups find it."""
-
-    _MOVES: tuple[str, ...] = ("fresh_neighbors",)
+    """Generates ``fresh_neighbors`` on its first use and keeps it on the
+    instance, where later lookups find it."""
 
     def __getattr__(self, name: str):
-        if name not in self._MOVES:
+        if name != "fresh_neighbors":
             raise AttributeError(name)
-        move = self.__dict__[name] = self._moves(name)
+        move = self.__dict__[name] = self._moves()
         return move
 
     def neighbors(self, a) -> list:
@@ -168,60 +166,20 @@ def _tuple(names: Sequence[str]) -> str:
     return "(" + "".join(name + ", " for name in names) + ")"
 
 
-def _unpack_code(names: Sequence[str], width: int) -> list[str]:
-    """Statements that name the entries of the arrangement coded ``c``,
-    ``width`` bytes an entry."""
-    if width == 1:
-        return [_tuple(names) + f" = c.to_bytes({len(names):d}, 'big')"]
-    return [f"d = c.to_bytes({len(names) * width:d}, 'big')"] + [
-        f"{name} = int.from_bytes(d[{k * width:d}:{(k + 1) * width:d}], 'big')"
-        for k, name in enumerate(names)]
+def _compile_move(unpack: Sequence[str], moves: Sequence[tuple[str, str]]):
+    """Compile ``bind(m)``, which returns ``fresh_neighbors(a, seen)``.
 
-
-def _compile_move(name: str, unpack: Sequence[str], moves: Sequence[tuple]):
-    """Compile ``bind(m)``, which returns the ``_MOVES`` function ``name``.
-
-    ``unpack`` are statements that name the parts of an arrangement: of the
-    tuple ``a``, or for ``union_links`` of the code ``c``.  Each move is
-    (test, forward, new arrangement, code delta), expressions over those
-    names and ``m``.  ``fresh_neighbors(a, seen)`` makes every move whose
-    test holds and returns the new arrangements not in ``seen``, adding
-    them to it.
-
-    ``union_links(index, parent)`` walks the codes of ``index`` (a
-    ``_RankIndex``) in rank order, collects the codes of the forward moves
-    whose test holds, ranks each with the index's two tables, unions the
-    ranks of the two ends in ``parent`` and returns the number of moves
-    made.  Collecting first runs slower than a union per move but compiles
-    in about a third of the time."""
-    if name == "union_links":
-        # ra is a root; a neighbour already under it costs one read
-        loop = list(unpack) + ["nb = []"]
-        for test, forward, _, delta in moves:
-            if forward:
-                loop += [f"if {test}:", f" nb.append(c + {delta})"]
-        loop += ["if nb:", " links += len(nb)",
-                 " while (p := parent[ra]) != ra:", "  parent[ra] = ra = parent[p]",
-                 " for rb in nb:", "  rb = prefix[rb >> shift] + suffix[rb & mask]",
-                 "  p = parent[rb]", "  if p != ra:",
-                 "   while p != rb:", "    parent[rb] = rb = parent[p]",
-                 "    p = parent[rb]",
-                 "   if ra < rb:", "    parent[rb] = ra",
-                 "   elif rb < ra:", "    parent[ra] = ra = rb"]
-        src = ["def bind(m):", " def union_links(index, parent):", "  links = 0",
-               "  prefix, suffix = index.prefix, index.suffix",
-               "  shift, mask = index.shift, index.mask",
-               "  for ra, c in enumerate(index):"]
-        src += ["   " + line for line in loop]
-        src += ["  return links", " return union_links"]
-    else:
-        src = ["def bind(m):", " def fresh_neighbors(a, seen):"]
-        src += ["  " + line for line in unpack] if moves else []
-        src.append("  out = []")
-        for test, _, b, _ in moves:
-            src += [f"  if {test}:", f"   b = {b}", "   if b not in seen:",
-                    "    seen.add(b)", "    out.append(b)"]
-        src += ["  return out", " return fresh_neighbors"]
+    ``unpack`` are statements that name the parts of the tuple ``a``.  Each
+    move is (test, new arrangement), expressions over those names and
+    ``m``.  ``fresh_neighbors`` makes every move whose test holds and
+    returns the new arrangements not in ``seen``, adding them to it."""
+    src = ["def bind(m):", " def fresh_neighbors(a, seen):"]
+    src += ["  " + line for line in unpack] if moves else []
+    src.append("  out = []")
+    for test, b in moves:
+        src += [f"  if {test}:", f"   b = {b}", "   if b not in seen:",
+                "    seen.add(b)", "    out.append(b)"]
+    src += ["  return out", " return fresh_neighbors"]
     namespace: dict = {}
     exec(compile("\n".join(src), "<moves>", "exec"), namespace)
     return namespace["bind"]
@@ -242,35 +200,28 @@ def _fs_moves(n: int, edges: tuple[tuple[int, int], ...]):
     for p, q in edges:
         b = list(names)
         b[p], b[q] = b[q], b[p]
-        moves.append((f"{rows.get(p, f'm[a{p:d}]')}[a{q:d}]", True, _tuple(b), None))
-    return _compile_move("fresh_neighbors", unpack, moves)
+        moves.append((f"{rows.get(p, f'm[a{p:d}]')}[a{q:d}]", _tuple(b)))
+    return _compile_move(unpack, moves)
 
 
 @functools.lru_cache(maxsize=128)
-def _fsmm_moves(name: str, nx: int, x_edges: tuple[tuple[int, int], ...], ny: int,
-                y_edges: tuple[tuple[int, int], ...], width: int):
+def _fsmm_moves(nx: int, x_edges: tuple[tuple[int, int], ...], ny: int,
+                y_edges: tuple[tuple[int, int], ...]):
     """The moves of every fsmm space with these X and Y base graphs: for an
     X-edge (u, v) and a Y-edge (y1, y2), a copy of u moves from y1 to y2
-    against a copy of v back (forward), then the reverse.  Entry ``c{u}_{y}``
-    of row ``r{u}`` counts the copies of u on y, and is the digit of weight
-    256**(width * (nx*ny - 1 - (u*ny + y))) in the arrangement's code."""
+    against a copy of v back, then the reverse.  Entry ``c{u}_{y}`` of row
+    ``r{u}`` counts the copies of u on y."""
     rows = [f"r{u:d}" for u in range(nx)]
     cells = [[f"c{u:d}_{k:d}" for k in range(ny)] for u in range(nx)]
-    if name == "union_links":
-        unpack = _unpack_code([cell for row in cells for cell in row], width)
-    else:
-        unpack = [_tuple(rows) + " = a"] + [
-            _tuple(cells[u]) + f" = r{u:d}"
-            for u in sorted({u for e in x_edges for u in e})]
+    unpack = [_tuple(rows) + " = a"] + [
+        _tuple(cells[u]) + f" = r{u:d}"
+        for u in sorted({u for e in x_edges for u in e})]
 
     def shift(u, src, dst):
         row = list(cells[u])
         row[src] += " - 1"
         row[dst] += " + 1"
         return _tuple(row)
-
-    def weight(u, k):
-        return 256 ** (width * (nx * ny - 1 - (u * ny + k)))
 
     moves = []
     for u, v in x_edges:
@@ -279,11 +230,8 @@ def _fsmm_moves(name: str, nx: int, x_edges: tuple[tuple[int, int], ...], ny: in
                 b = list(rows)
                 b[u] = shift(u, src, dst)
                 b[v] = shift(v, dst, src)
-                delta = weight(u, dst) - weight(u, src) \
-                    + weight(v, src) - weight(v, dst)
-                moves.append((f"{cells[u][src]} and {cells[v][dst]}",
-                               src == y1, _tuple(b), f"({delta:d})"))
-    return _compile_move(name, unpack, moves)
+                moves.append((f"{cells[u][src]} and {cells[v][dst]}", _tuple(b)))
+    return _compile_move(unpack, moves)
 
 
 # -- spaces -------------------------------------------------------------------
@@ -337,7 +285,11 @@ class FSmSpace(_GeneratedMoves):
             counts[lab] += 1
         return tuple(counts) == self.y.mult
 
-    def _moves(self, name: str):
+    def steps(self) -> "_Steps":
+        """A step of the rank index places one position's label."""
+        return _label_steps(self.y.base.n)
+
+    def _moves(self):
         # row s holds a 1 at each label t adjacent to s in Y
         y = self.y.base
         m = [[int((s, t) in y.edges or (t, s) in y.edges) for t in range(y.n)]
@@ -353,8 +305,6 @@ class FSmmSpace(_GeneratedMoves):
     y1y2 in E(Y).  With all X-multiplicities equal to 1 this is exactly the
     fsm variant.
     """
-
-    _MOVES = ("fresh_neighbors", "union_links")
 
     def __init__(self, x: MultiplicityGraph, y: MultiplicityGraph):
         if x.total != y.total:
@@ -403,8 +353,7 @@ class FSmmSpace(_GeneratedMoves):
                      tuple(r - v for r, v in zip(room, row)))
                     for row in compositions(rows[i], room)]
 
-        return _RankIndex(len(rows), 8 * self.width * self.y.base.n,
-                          self.y.mult, choices)
+        return _RankIndex(len(rows), self.steps().bits, self.y.mult, choices)
 
     def _row_bytes(self, row: Sequence[int]) -> bytes:
         w = self.width
@@ -412,10 +361,13 @@ class FSmmSpace(_GeneratedMoves):
             return bytes(row)
         return b"".join(int.to_bytes(cell, w, "big") for cell in row)
 
-    def _moves(self, name: str):
+    def steps(self) -> "_Steps":
+        """A step of the rank index fills one row."""
+        return _row_steps(self.y.base.n, self.width)
+
+    def _moves(self):
         x, y = self.x.base, self.y.base
-        return _fsmm_moves(name, x.n, x.edge_list, y.n, y.edge_list,
-                           self.width)(None)
+        return _fsmm_moves(x.n, x.edge_list, y.n, y.edge_list)(None)
 
 
 def space_for(x, y, variant: str):
@@ -454,25 +406,23 @@ class _RankIndex(Mapping):
     their first ``k`` steps, a prefix, are contiguous and ordered as their
     suffixes are among all suffixes that fill the same room.  So
 
-        rank(c) = prefix[c >> shift] + suffix[c & mask]
+        rank(c) = prefix[c >> shift] + fits[c >> shift][c & mask]
 
-    where ``prefix`` maps each prefix to the rank of its first arrangement
-    and ``suffix`` each suffix to its rank among those filling its room.
-    ``k`` is the split with the fewest entries in the two: 9 positions with
-    9 labels take 3,024 prefixes and 15,120 suffixes for 362,880
-    arrangements.
+    where ``prefix`` maps each prefix to the rank of its first arrangement,
+    and ``fits`` to the suffix table of the room it leaves, which ranks each
+    suffix among those filling that room.  Every prefix that leaves a room
+    shares its table.  ``k`` is the split with the fewest entries in the
+    prefixes and the tables: 9 positions with 9 labels take 3,024 prefixes
+    and 15,120 suffixes for 362,880 arrangements.
 
     A prefix and a suffix can each be valid and not fit together (fs
-    (0, 1 | 0, 1)).  A lookup therefore reads the suffix in ``fits[p]``,
-    the suffix table of the room prefix p leaves, one table shared by
-    every prefix that leaves that room, and raises ``KeyError`` for any
-    code that is not an arrangement's.  The generated fsmm union kernel,
-    which ranks only neighbours of arrangements, reads the flat ``suffix``;
-    ``build_components`` walks fs/fsm spaces block by block, a prefix and
-    its ``fits`` table at a time.
-    Iteration yields the codes in rank order."""
+    (0, 1 | 0, 1)): then the suffix is not in the table of the prefix's
+    room, and a lookup raises ``KeyError``, as for any code that is not an
+    arrangement's.  ``build_components`` walks the index block by block, a
+    prefix and its ``fits`` table at a time.  Iteration yields the codes
+    in rank order."""
 
-    __slots__ = ("shift", "mask", "prefix", "suffix", "fits", "_len")
+    __slots__ = ("shift", "mask", "prefix", "fits", "_len")
 
     def __init__(self, steps: int, bits: int, room: tuple, choices):
         memo: dict = {}
@@ -511,9 +461,6 @@ class _RankIndex(Mapping):
         tables = {r: dict(zip((c for c, _ in walk(k, steps, r, 0)),
                               itertools.count()))
                   for r in levels[k]}
-        self.suffix: dict = {}
-        for table in tables.values():
-            self.suffix.update(table)
         self.prefix: dict = {}
         self.fits: dict = {}
         rank = 0
@@ -662,66 +609,102 @@ class _IdItems(ItemsView):
 _TABLE_STATES = 5040
 
 
-class _StateTable:
-    """The arrangements that fill a room of label counts, and their swaps.
+class _Steps(NamedTuple):
+    """The steps of a space's codes, and what a move does to one.
 
-    ``index`` maps the code (``FSmSpace.code``) of each arrangement of
-    ``n`` positions, a whole one or the suffix of a prefix block, to its
-    rank among them, and iterates the codes in rank order.  ``swaps(p, q)``
-    maps each label pair (s, t), s < t, to a flat array of rank pairs
-    (i, j): arrangement i holds s on position p and t on q, and j is i with
-    those two entries swapped.  For an X-edge (p, q), p < q, and a Y-edge
-    (s, t) these are forward moves.  Nothing here depends on X or Y.
+    A step is ``bits`` bits of a code: one position's label (fs/fsm) or one
+    row (fsmm).  ``held[v]`` lists in increasing order the columns on which
+    step value v holds a copy: the label v itself, or the Y-vertices whose
+    cell in row v is not 0.  A copy that moves from column s to column t
+    adds ``weight[t] - weight[s]`` to its step's value."""
+
+    bits: int
+    held: Mapping
+    weight: Sequence[int]
+
+
+@functools.lru_cache(maxsize=128)
+def _label_steps(labels: int) -> _Steps:
+    return _Steps(8, [(s,) for s in range(labels)], range(labels))
+
+
+class _RowCells(dict):
+    """Row code -> the columns of its cells that are not 0, filled in as
+    rows are read."""
+
+    __slots__ = ("ny", "width")
+
+    def __init__(self, ny: int, width: int):
+        super().__init__()
+        self.ny = ny
+        self.width = width
+
+    def __missing__(self, row: int) -> tuple[int, ...]:
+        w = self.width
+        cells = row.to_bytes(self.ny * w, "big")
+        held = self[row] = tuple(y for y in range(self.ny)
+                                 if any(cells[y * w:(y + 1) * w]))
+        return held
+
+
+@functools.lru_cache(maxsize=128)
+def _row_steps(ny: int, width: int) -> _Steps:
+    return _Steps(8 * width * ny, _RowCells(ny, width),
+                  [256 ** (width * (ny - 1 - y)) for y in range(ny)])
+
+
+class _StateTable:
+    """The arrangements that fill a room, and their moves.
+
+    ``index`` maps the code of each arrangement of ``n`` steps (laid out as
+    ``steps``), a whole one or the suffix of a prefix block, to its rank
+    among them, and iterates the codes in rank order.  ``swaps(p, q)`` maps
+    each column pair (s, t), s < t, to a flat array of rank pairs (i, j):
+    step p of arrangement i holds a copy on s and step q one on t, and j is
+    i with the first copy moved to t and the second to s.  For an X-edge
+    (p, q), p < q, and a Y-edge (s, t) these are forward moves.  Nothing
+    here depends on X or Y.
     """
 
-    __slots__ = ("index", "_n", "_swaps")
+    __slots__ = ("index", "_n", "_steps", "_swaps")
 
-    def __init__(self, index: Mapping, n: int):
+    def __init__(self, index: Mapping, n: int, steps: _Steps):
         self.index = index
         self._n = n
+        self._steps = steps
         self._swaps: dict = {}
 
     def swaps(self, p: int, q: int) -> dict:
-        by_labels = self._swaps.get((p, q))
-        if by_labels is None:
-            by_labels = self._swaps[p, q] = {}
+        by_columns = self._swaps.get((p, q))
+        if by_columns is None:
+            by_columns = self._swaps[p, q] = {}
             index = self.index
-            n = self._n
-            weight = 256 ** (n - 1 - p) - 256 ** (n - 1 - q)
+            bits, held, weight = self._steps
+            high = bits * (self._n - 1 - p)
+            low = bits * (self._n - 1 - q)
+            mask = (1 << bits) - 1
+            move = (1 << high) - (1 << low)
             for i, c in enumerate(index):
-                a = c.to_bytes(n, "big")
-                s = a[p]
-                t = a[q]
-                if s < t:
-                    pairs = by_labels.get((s, t))
-                    if pairs is None:
-                        pairs = by_labels[s, t] = array("i")
-                    pairs.append(i)
-                    pairs.append(index[c + (t - s) * weight])
-        return by_labels
+                for s in held[c >> high & mask]:
+                    for t in held[c >> low & mask]:
+                        if s < t:
+                            pairs = by_columns.get((s, t))
+                            if pairs is None:
+                                pairs = by_columns[s, t] = array("i")
+                            pairs.append(i)
+                            pairs.append(index[c + (weight[t] - weight[s]) * move])
+        return by_columns
 
 
 # one table per label-count vector of at most 7! arrangements, for as many
 # vectors as a run cycles through: the benchmark's oracle-many workload uses
 # 42, and its predict workload 47 to 53 a repetition and 63 over 12.  The
-# rooms of larger spaces are not cached
+# rooms of larger spaces, and of fsmm spaces, are not cached
 @functools.lru_cache(maxsize=128)
 def _state_table(mult: tuple[int, ...]) -> _StateTable:
     """The table of every fs/fsm space with label counts ``mult``, shared
     read-only by all of them."""
-    return _StateTable(_label_index(mult), sum(mult))
-
-
-def _rooms(index: _RankIndex, n: int) -> Iterator[tuple[_StateTable, list]]:
-    """Each room of the prefix blocks of ``index``, as the ``_StateTable``
-    of its suffixes of ``n`` entries, with the codes of the prefixes that
-    leave it.  A room's table is built when its turn comes and kept by
-    nothing here."""
-    groups: dict = {}
-    for c, suffixes in index.fits.items():
-        groups.setdefault(id(suffixes), (suffixes, []))[1].append(c)
-    for suffixes, prefixes in groups.values():
-        yield _StateTable(suffixes, n), prefixes
+    return _StateTable(_label_index(mult), sum(mult), _label_steps(len(mult)))
 
 
 def _union(parent, pairs) -> None:
@@ -748,92 +731,137 @@ def _union(parent, pairs) -> None:
             parent[r] = s
 
 
-def _union_blocks(space: FSmSpace, parent, k: int, prefix: Mapping,
-                  fits: Mapping, rooms) -> int:
-    """Unions the links of an fs/fsm space in ``parent`` block by block and
-    returns their number.
+def _local_pairs(table: _StateTable, edges, y_edges) -> array:
+    """The local rank pairs of the moves in ``table`` across the step pairs
+    ``edges`` and the Y-edges ``y_edges``, flat."""
+    local = array("i")
+    for p, q in edges:
+        swaps = table.swaps(p, q)
+        for st in y_edges:
+            local.extend(swaps.get(st, ()))
+    return local
 
-    A block is the arrangements whose first ``k`` entries are one prefix,
-    coded c; they hold the ranks from ``prefix[c]`` on, in the order of
-    their suffixes in ``fits[c]``, the suffix table of the room (label
-    counts) the prefix leaves.  ``rooms`` yields each room's
-    ``_StateTable`` with the prefixes that leave it.  An X-edge (p, q),
-    p < q, links arrangements in one of three ways:
 
-    * prefix link (q < k): where the block's prefix holds labels s < t
-      adjacent in Y on p and q, each suffix links rank by rank to the block
-      of the prefix with the two swapped;
-    * suffix link (k <= p): the room's swaps across (p - k, q - k), the
+def _union_blocks(space, parent, index: _RankIndex,
+                  table: Optional[_StateTable] = None) -> int:
+    """Unions the links of a space in ``parent`` block by block and returns
+    their number.
+
+    A block is the arrangements whose first k steps (``space.steps()``) are
+    one prefix of ``index``, coded c; they hold the ranks from
+    ``index.prefix[c]`` on, in the order of their suffixes in
+    ``index.fits[c]``, the suffix table of the room the prefix leaves.  A
+    space given its ``table`` is one block, k = 0.  A forward move across
+    the X-edge (p, q), p < q, and the Y-edge (s, t), s < t, moves a copy on
+    s from step p to t and a copy on t from step q to s.  It is a
+
+    * prefix link (q < k): the room is unchanged, so the block links rank
+      by rank to the block of the prefix with the move made, a constant
+      away in code;
+    * suffix link (k <= p): one of the room's moves in ``_StateTable``, the
       same local rank pairs in each of its blocks;
-    * cross link (p < k <= q): for each label t > s = a[p] adjacent to s,
-      each suffix with t on q links to the block whose prefix has t on p,
-      at the rank there of the suffix with s on q.  A room makes these
-      pairs once per (q, t, s), for all its blocks.
+    * cross link (p < k <= q): each suffix with a copy on t at q links to
+      the block of the prefix with its copy on s at p moved to t, at the
+      rank there of the suffix with the copy moved to s.  A room makes
+      these pairs once per (q, s, t), for all its blocks.
+
+    With k > 0 a first pass unions each room's suffix links in a list of
+    its own and keeps only each suffix's local root, dropping the room's
+    table.  A block then unions the spanning forest (j, root of j), a
+    prefix link only the roots, and a cross link each pair of local roots
+    once.
     """
-    m = space.x.n - k
-    labels = space.y.base
-    suffix_edges = [(p - k, q - k) for p, q in space.x.edge_list if k <= p]
-    prefix_edges = cross_edges = ()
-    # the many small spaces are one block (k = 0) with suffix links only
-    if k:
-        up: list[list[int]] = [[] for _ in range(labels.n)]
-        for s, t in labels.edge_list:
-            up[s].append(t)
-        weight = [256 ** (k - 1 - p) for p in range(k)]
-        prefix_edges = [(p, q, weight[p] - weight[q])
-                        for p, q in space.x.edge_list if q < k]
-        cross_edges = [(p, weight[p], q - k) for p, q in space.x.edge_list
-                       if p < k <= q]
+    bits, held, weight = steps = space.steps()
+    x = space.x.base if isinstance(space, FSmmSpace) else space.x
+    y = space.y.base
+    # steps of 0 bits (no columns) make one arrangement
+    k = x.n - index.shift // bits if bits and table is None else 0
+    suffix_edges = [(p - k, q - k) for p, q in x.edge_list if k <= p]
+    if not k:
+        # the many small spaces are one block at rank 0 with suffix links only
+        local = _local_pairs(table or _StateTable(index.fits[0], x.n, steps),
+                             suffix_edges, y.edge_list)
+        it = iter(local)
+        _union(parent, zip(it, it))
+        return len(local) >> 1
+    prefix, fits = index.prefix, index.fits
+    rooms: dict = {}
+    for c, suffixes in fits.items():
+        rooms.setdefault(id(suffixes), (suffixes, []))[1].append(c)
+    # each room's local roots, with its number of suffix links
+    forests: dict = {}
+    for key, (suffixes, _) in rooms.items():
+        local = _local_pairs(_StateTable(suffixes, x.n - k, steps),
+                             suffix_edges, y.edge_list)
+        root = list(range(len(suffixes)))
+        it = iter(local)
+        _union(root, zip(it, it))
+        for j, r in enumerate(root):
+            root[j] = root[r]
+        forests[key] = (array("i", root), len(local) >> 1)
+    up: list[list[int]] = [[] for _ in range(y.n)]
+    for s, t in y.edge_list:
+        up[s].append(t)
+    mask = (1 << bits) - 1
+    shift = [bits * (k - 1 - p) for p in range(k)]
+    prefix_edges = [(shift[p], shift[q]) for p, q in x.edge_list if q < k]
+    cross_edges = [(shift[p], bits * (x.n - 1 - q), q) for p, q in x.edge_list
+                   if p < k <= q]
     links = 0
-    for table, prefixes in rooms:
-        suffixes = table.index
-        size = len(suffixes)
-        local = array("i")
-        for p, q in suffix_edges:
-            swaps = table.swaps(p, q)
-            for st in labels.edge_list:
-                local.extend(swaps.get(st, ()))
-        # q -> t -> (rank, code) of each suffix with t on q
+    for key, (suffixes, prefixes) in rooms.items():
+        root, count = forests[key]
+        size = len(root)
+        tops = array("i", [j for j, r in enumerate(root) if j == r])
+        forest = array("i")
+        for j, r in enumerate(root):
+            if j != r:
+                forest.append(j)
+                forest.append(r)
+        # q -> column -> (rank, code) of each suffix with a copy on it at q
         columns: dict = {}
         cross: dict = {}
         for c in prefixes:
             b = prefix[c]
-            a = c.to_bytes(k, "big")
-            for p, q, w in prefix_edges:
-                s, t = a[p], a[q]
-                if s < t and (s, t) in labels.edges:
-                    b2 = prefix[c + (t - s) * w]
-                    _union(parent, zip(range(b, b + size), range(b2, b2 + size)))
-                    links += size
-            if local:
-                # a block at rank 0 needs no offset, and the many small
-                # spaces are one such block
-                it = map(add, local, itertools.repeat(b)) if b else iter(local)
+            for hp, hq in prefix_edges:
+                for s in held[c >> hp & mask]:
+                    for t in held[c >> hq & mask]:
+                        if s < t and (s, t) in y.edges:
+                            b2 = prefix[c + (weight[t] - weight[s])
+                                        * ((1 << hp) - (1 << hq))]
+                            _union(parent, zip(map(add, tops, itertools.repeat(b)),
+                                               map(add, tops, itertools.repeat(b2))))
+                            links += size
+            if forest:
+                it = map(add, forest, itertools.repeat(b))
                 _union(parent, zip(it, it))
-                links += len(local) >> 1
-            for p, w, q in cross_edges:
-                s = a[p]
-                for t in up[s]:
-                    b2 = prefix.get(c + (t - s) * w)
-                    if b2 is None:
-                        # no t is left for the suffix
-                        continue
-                    pairs = cross.get((q, t, s))
-                    if pairs is None:
-                        column = columns.get(q)
-                        if column is None:
-                            column = columns[q] = {}
-                            shift = 8 * (m - 1 - q)
-                            for j, d in enumerate(suffixes):
-                                column.setdefault(d >> shift & 255, []).append((j, d))
-                        delta = (s - t) << 8 * (m - 1 - q)
-                        there = fits[c + (t - s) * w]
-                        pairs = cross[q, t, s] = (
-                            array("i", [j for j, _ in column[t]]),
-                            array("i", [there[d + delta] for _, d in column[t]]))
-                    _union(parent, zip(map(add, pairs[0], itertools.repeat(b)),
-                                       map(add, pairs[1], itertools.repeat(b2))))
-                    links += len(pairs[0])
+            links += count
+            for hp, hq, q in cross_edges:
+                for s in held[c >> hp & mask]:
+                    for t in up[s]:
+                        moved = c + ((weight[t] - weight[s]) << hp)
+                        b2 = prefix.get(moved)
+                        if b2 is None:
+                            # the room has no copy on t for the suffix
+                            continue
+                        pairs = cross.get((q, s, t))
+                        if pairs is None:
+                            column = columns.get(q)
+                            if column is None:
+                                column = columns[q] = {}
+                                for j, d in enumerate(suffixes):
+                                    for u in held[d >> hq & mask]:
+                                        column.setdefault(u, []).append((j, d))
+                            there = fits[moved]
+                            root2 = forests[id(there)][0]
+                            delta = (weight[s] - weight[t]) << hq
+                            ends = dict.fromkeys((root[j], root2[there[d + delta]])
+                                                 for j, d in column[t])
+                            pairs = cross[q, s, t] = (
+                                array("i", [i for i, _ in ends]),
+                                array("i", [j for _, j in ends]), len(column[t]))
+                        _union(parent, zip(map(add, pairs[0], itertools.repeat(b)),
+                                           map(add, pairs[1], itertools.repeat(b2))))
+                        links += pairs[2]
     return links
 
 
@@ -866,20 +894,14 @@ def build_components(
         parent = _ranks[:total]
     else:
         parent = array("i" if total <= 2 ** 31 else "l", range(total))
-    if not isinstance(space, FSmSpace):
-        index = space.index()
-        links = space.union_links(index, parent)
-    elif total <= _TABLE_STATES:
-        # k = 0: one block, the whole space, in the shared table
+    if isinstance(space, FSmSpace) and total <= _TABLE_STATES:
+        # one block, the whole space, in the table shared by its label counts
         table = _state_table(space.y.mult)
         index = table.index
-        links = _union_blocks(space, parent, 0, {0: 0}, {0: index},
-                              [(table, [0])])
     else:
+        table = None
         index = space.index()
-        k = space.x.n - index.shift // 8
-        links = _union_blocks(space, parent, k, index.prefix, index.fits,
-                              _rooms(index, space.x.n - k))
+    links = _union_blocks(space, parent, index, table)
     # one pass in enumeration order overwrites each entry with its id
     sizes: list[int] = []
     for i, p in enumerate(parent):

@@ -112,13 +112,88 @@ def _link_kinds(x, k):
     (SimpleGraph(8, [(p, q) for p, q in itertools.combinations(range(8), 2)
                      if (p < 4) == (q < 4)]),
      path_graph(8), "fs", {"prefix", "suffix"}),
+    # 7,227 count matrices, rows split 3 | 3, columns of 2 and 1 copies
+    (MultiplicityGraph(cycle_graph(6), (2, 2, 2, 1, 1, 1)),
+     MultiplicityGraph(path_graph(6), (2, 2, 2, 1, 1, 1)), "fsmm",
+     {"prefix", "suffix", "cross"}),
 ])
 def test_block_path_above_the_table_bound_matches_reference(x, y, variant, kinds):
     live = build_components(x, y, variant=variant)
-    k = x.n - live.component_id.index.shift // 8
-    assert live.vertex_count > statespace._TABLE_STATES and 0 < k < x.n
-    assert _link_kinds(x, k) == kinds
+    k = _split(live, x, y, variant)
+    assert live.vertex_count > statespace._TABLE_STATES and 0 < k < _steps(x).n
+    assert _link_kinds(_steps(x), k) == kinds
     _assert_same_report(live, reference.build_components(x, y, variant=variant))
+
+
+def _steps(x):
+    """The graph on the steps of the rank index: positions, or fsmm rows."""
+    return as_multiplicity(x).base
+
+
+def _split(report, x, y, variant):
+    """The number of steps in a prefix of the report's rank index."""
+    bits = space_for(x, y, variant).steps().bits
+    return _steps(x).n - report.component_id.index.shift // bits
+
+
+def test_fsmm_block_path_with_two_byte_cells_matches_reference():
+    # a column of 257 copies takes two bytes a cell, and a row of 6 bytes a
+    # step; rows split 2 | 2
+    x = MultiplicityGraph(path_graph(4), (256, 1, 1, 2))
+    y = MultiplicityGraph(complete_graph(3), (257, 2, 1))
+    live = build_components(x, y, variant="fsmm")
+    assert space_for(x, y, "fsmm").steps().bits == 48
+    assert _split(live, x, y, "fsmm") == 2
+    assert _link_kinds(_steps(x), 2) == {"prefix", "suffix", "cross"}
+    _assert_same_report(live, reference.build_components(x, y, variant="fsmm"))
+
+
+def test_fsmm_room_swaps_are_the_forward_moves():
+    # in each block, swaps(p - k, q - k) of its room's table, offset by the
+    # block's first rank, lists each forward move between the suffix rows
+    # p < q once, keyed by the columns (s, t), s < t, that copies leave
+    x = MultiplicityGraph(complete_graph(5), (1, 2, 1, 2, 1))
+    y = MultiplicityGraph(complete_graph(3), (3, 2, 2))
+    space = space_for(x, y, "fsmm")
+    index = space.index()
+    k = 5 - index.shift // space.steps().bits
+    assert 0 < k <= 3
+    ref = reference.space_for(x, y, "fsmm")
+    rank = {a: i for i, a in enumerate(ref.enumerate())}
+    tables = [(index.prefix[c], statespace._StateTable(suffixes, 5 - k, space.steps()))
+              for c, suffixes in index.fits.items()]
+    for p, q in itertools.combinations(range(k, 5), 2):
+        expected: dict = {}
+        for a, i in rank.items():
+            for b in ref.neighbors(a):
+                rows = [u for u in range(5) if a[u] != b[u]]
+                if rows == [p, q] and _is_forward(a, b):
+                    s = next(col for col in range(3) if b[p][col] < a[p][col])
+                    t = next(col for col in range(3) if b[p][col] > a[p][col])
+                    expected.setdefault((s, t), []).append((i, rank[b]))
+        got: dict = {}
+        for first, table in tables:
+            for st, pairs in table.swaps(p - k, q - k).items():
+                got.setdefault(st, []).extend(
+                    (first + i, first + j) for i, j in zip(pairs[::2], pairs[1::2]))
+        assert got == expected
+        assert expected
+
+
+def test_fsmm_builds_generate_no_move_code():
+    # a shape that no other test builds: the build compiles nothing, and
+    # the space's first BFS step compiles its moves
+    x = MultiplicityGraph(SimpleGraph(5, [(0, 3), (1, 4), (2, 3), (3, 4)]),
+                          (2, 1, 1, 2, 1))
+    y = MultiplicityGraph(SimpleGraph(4, [(0, 2), (1, 3), (2, 3)]), (3, 1, 2, 1))
+    before = statespace._fsmm_moves.cache_info()
+    live = build_components(x, y, variant="fsmm")
+    assert statespace._fsmm_moves.cache_info() == before
+    _assert_same_report(live, reference.build_components(x, y, variant="fsmm"))
+    space = space_for(x, y, "fsmm")
+    a = next(iter(live.component_id))
+    assert space.neighbors(a) == reference.space_for(x, y, "fsmm").neighbors(a)
+    assert statespace._fsmm_moves.cache_info().misses == before.misses + 1
 
 
 @pytest.mark.parametrize("x, y, variant, total, shared", [
@@ -260,7 +335,7 @@ def test_unfit_halves_are_each_in_the_rank_index(x, y, variant, a):
     index = build_components(x, y, variant=variant).component_id.index
     code = space_for(x, y, variant).code(a)
     assert code >> index.shift in index.prefix
-    assert code & index.mask in index.suffix
+    assert any(code & index.mask in table for table in index.fits.values())
 
 
 @st.composite

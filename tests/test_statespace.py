@@ -682,7 +682,7 @@ def test_kept_slot_costs_at_most_24_bytes_a_state():
     assert 0 < sum(answers) < len(answers)
     states = space_for(x, y, "fs").count()
     assert states == 40_320 == statespace._SLOT_STATES
-    # measured: about 19.6 B a state, the report's 8 B ids and its index
+    # measured: about 17.7 B a state, the report's 8 B ids and its index
     assert kept <= 24 * states
 
 
@@ -703,7 +703,7 @@ def test_build_components_peak_under_31_bytes_a_state():
         tracemalloc.stop()
     states = report.vertex_count
     assert states == 40_320 > statespace._TABLE_STATES
-    # measured: 25.1 B a state at the peak, 19.7 B of it kept by the report
+    # measured: 24.8 B a state at the peak, 17.9 B of it kept by the report
     assert peak <= 31 * states
     assert kept <= 24 * states
 
@@ -726,10 +726,34 @@ def test_build_components_above_8_factorial_keeps_4_byte_ids():
     states = report.vertex_count
     assert states == 90_720 > statespace._LIST_STATES
     assert report.component_id.ids.itemsize == 4
-    # measured: 14.7 B a state at the peak, 11.5 B of it kept by the report
-    # (15.5 B with 8 B ids)
+    # measured: 13.3 B a state at the peak, 9.8 B of it kept by the report
+    # (11.5 B kept with a flat table of every suffix, 15.5 B with 8 B ids too)
     assert peak <= 18 * states
     assert kept <= 14 * states
+
+
+def test_oracle_large_fsmm_space_peaks_under_30_bytes_a_state():
+    # FSmm(C6 x (2,2,2,2,2,1), P6 x (2,2,2,2,2,1)), the fsmm space of the
+    # benchmark's oracle-large workload: 3,630 blocks of 3 rows in 96 rooms
+    x = MultiplicityGraph(cycle_graph(6), (2, 2, 2, 2, 2, 1))
+    y = MultiplicityGraph(path_graph(6), (2, 2, 2, 2, 2, 1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = build_components(x, y, variant="fsmm")
+        gc.collect()
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert (report.vertex_count, report.edge_count, report.component_count) \
+        == (61_260, 167_124, 161)
+    states = report.vertex_count
+    # measured: 23.8 B a state at the peak, 15.6 B of it kept by the report
+    # (30.3 and 16.9 B with a union kernel generated and compiled per shape)
+    assert peak <= 30 * states
+    assert kept <= 18 * states
 
 
 def test_a_query_above_the_state_bound_keeps_nothing():
