@@ -181,11 +181,11 @@ def test_fsmm_room_swaps_are_the_forward_moves():
 
 
 def test_fsmm_builds_generate_no_move_code():
-    # a shape that no other test builds: the build compiles nothing, and
-    # the space's first BFS step compiles its moves
-    x = MultiplicityGraph(SimpleGraph(5, [(0, 3), (1, 4), (2, 3), (3, 4)]),
-                          (2, 1, 1, 2, 1))
-    y = MultiplicityGraph(SimpleGraph(4, [(0, 2), (1, 3), (2, 3)]), (3, 1, 2, 1))
+    # a shape no other test builds (7 rows; hypothesis draws at most 6): the
+    # build compiles nothing, and the space's first BFS step compiles its
+    # moves
+    x = as_multiplicity(SimpleGraph(7, [(0, 3), (1, 4), (2, 3), (3, 6), (5, 6)]))
+    y = MultiplicityGraph(SimpleGraph(4, [(0, 2), (1, 3), (2, 3)]), (3, 2, 1, 1))
     before = statespace._fsmm_moves.cache_info()
     live = build_components(x, y, variant="fsmm")
     assert statespace._fsmm_moves.cache_info() == before
