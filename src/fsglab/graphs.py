@@ -16,7 +16,6 @@ too.
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -604,29 +603,31 @@ def cyclic_order_count(leaf_mults: Sequence[int]) -> Fraction:
 # -- disjoint sets -----------------------------------------------------------
 
 
-class _UnionFind:
-    """Disjoint sets over 0..n-1 with path halving; the smaller root wins."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = array("l", range(n))
-
-    def find(self, v: int) -> int:
-        p = self.parent
-        while p[v] != v:
-            p[v] = v = p[p[v]]
-        return v
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra < rb:
-            self.parent[rb] = ra
-        else:
-            self.parent[ra] = rb
-        return True
+def _union(parent, pairs) -> None:
+    """Unions the two members of each pair in the disjoint-set forest
+    ``parent`` (a list or an array, parent[i] <= i).  The smaller root wins,
+    so every root is its set's smallest member and parent[i] <= i stays
+    true: one pass in increasing order, ``parent[i] = parent[parent[i]]``,
+    then leaves each entry at its root."""
+    for i, j in pairs:
+        r = parent[i]
+        s = parent[j]
+        if r == s:
+            continue
+        # find each root, pointing each step at its grandparent; a root
+        # (most ends in small spaces) is read once
+        if r != i:
+            while r != (g := parent[r]):
+                parent[i] = i = g
+                r = parent[g]
+        if s != j:
+            while s != (g := parent[s]):
+                parent[j] = j = g
+                s = parent[g]
+        if r < s:
+            parent[s] = r
+        elif s < r:
+            parent[r] = s
 
 
 # -- constructors ------------------------------------------------------------

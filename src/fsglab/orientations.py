@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .graphs import (CliquePartition, MultiplicityGraph, SimpleGraph, _UnionFind,
+from .graphs import (CliquePartition, MultiplicityGraph, SimpleGraph, _union,
                      complement, lift)
 
 
@@ -371,13 +371,13 @@ def _glue(classes: list[list[int]], class_of: dict[int, int], swaps: list,
     base moves and transpositions would merge.  Glued classes come out in
     order of their smallest member, as the closure numbers them.
     """
-    uf = _UnionFind(len(classes))
-    for cid, members in enumerate(classes):
-        for table in swaps:
-            uf.union(cid, class_of[permute(members[0], table)])
+    root = list(range(len(classes)))
+    _union(root, ((cid, class_of[permute(members[0], table)])
+                  for cid, members in enumerate(classes) for table in swaps))
     glued: dict[int, list[int]] = {}
     for cid, members in enumerate(classes):
-        glued.setdefault(uf.find(cid), []).extend(members)
+        root[cid] = root[root[cid]]
+        glued.setdefault(root[cid], []).extend(members)
     return [sorted(members) for members in glued.values()]
 
 

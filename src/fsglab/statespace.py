@@ -72,12 +72,14 @@ prefix, whose room is the same), a suffix link (k <= p: the room's pairs,
 the same in each of its blocks) or a cross link (p < k <= q: pairs a room
 makes once per (q, s, t) into the room the moved prefix leaves).  Above
 one block, a first pass contracts each room's suffix links to the local
-root of each suffix and drops the room's table, so a block unions a
-spanning forest, a prefix link only the roots and a cross link each pair
-of roots once.  The split is the index's k.  An fs/fsm space of at most
-``_TABLE_STATES`` = 7! arrangements is one block, k = 0, whose room is
-the cached table of its label counts: every space with those counts
-shares it, relabelled inputs included, and the report keeps its index.
+root of each suffix, drops the room's table and writes the parents of
+each of the room's blocks straight from those roots, so no block unions
+a suffix link; a prefix link then unions only the roots and a cross link
+each pair of roots once.  The split is the index's k.  An fs/fsm space
+of at most ``_TABLE_STATES`` = 7! arrangements is one block, k = 0,
+whose room is the cached table of its label counts: every space with
+those counts shares it, relabelled inputs included, and the report keeps
+its index.
 
 Moves of single arrangements, for the BFS, are generated Python, one
 source per X shape (fsmm: X and Y shape), cached and formatted from
@@ -88,15 +90,16 @@ neighbour as a tuple display; ``neighbors(a)`` is
 not when it is built, so a build compiles nothing; compiling costs about
 1 ms a shape.
 
-The union-find parents, and then the component ids, are an entry a state
-in enumeration order, read through the index, which no call writes: up to
-``_LIST_STATES`` = 8! arrangements a slice of one shared list of rank
-ints, whose reads allocate nothing, and above it an ``array('i')``, 4 B a
-state (``array('l')`` past 2**31 states).  A report keeps its index and
-ids, about 8 B per state for FS(K4,5, C9), and reads an arrangement as
-``ids[index[code(a)]]``; its iteration decodes its index.  A cached table
-outlives its report; at the 7! bound it holds 0.1 MB, or 0.6 MB with the
-swaps of all 21 position pairs.
+The union-find is ``graphs._union``, which also glues the lift's
+components in ``quotient_audit``.  Its parents, and then the component
+ids, are an entry a state in enumeration order, read through the index,
+which no call writes: up to ``_LIST_STATES`` = 8! arrangements a slice of
+one shared list of rank ints, whose reads allocate nothing, and above it
+an ``array('i')``, 4 B a state (``array('l')`` past 2**31 states).  A
+report keeps its index and ids, about 8 B per state for FS(K4,5, C9), and
+reads an arrangement as ``ids[index[code(a)]]``; its iteration decodes
+its index.  A cached table outlives its report; at the 7! bound it holds
+0.1 MB, or 0.6 MB with the swaps of all 21 position pairs.
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ from .graphs import (
     find_k_bridges,
     lift,
     star_center,
-    _UnionFind,
+    _union,
 )
 
 
@@ -146,15 +149,18 @@ class InvalidArrangementError(ValueError):
 # -- moves --------------------------------------------------------------------
 
 
-class _GeneratedMoves:
-    """Generates ``fresh_neighbors`` on its first use and keeps it on the
-    instance, where later lookups find it."""
+class _Space:
+    """What the two space classes share: enumeration through the rank
+    index, and moves generated on first use."""
 
-    def __getattr__(self, name: str):
-        if name != "fresh_neighbors":
-            raise AttributeError(name)
-        move = self.__dict__[name] = self._moves()
-        return move
+    def enumerate(self) -> Iterator:
+        return map(self.decode, self.index())
+
+    @functools.cached_property
+    def fresh_neighbors(self):
+        """``fresh_neighbors(a, seen)``: the arrangements one move from
+        ``a`` that are not in ``seen``, added to it."""
+        return self._moves()
 
     def neighbors(self, a) -> list:
         """Every arrangement one move from ``a``: no two moves reach the
@@ -237,7 +243,7 @@ def _fsmm_moves(nx: int, x_edges: tuple[tuple[int, int], ...], ny: int,
 # -- spaces -------------------------------------------------------------------
 
 
-class FSmSpace(_GeneratedMoves):
+class FSmSpace(_Space):
     """FSm(X, Y): label vectors over positions V(X), label y used mult[y] times.
 
     With every multiplicity 1 the vectors are the bijections of FS(X, Y).
@@ -256,9 +262,6 @@ class FSmSpace(_GeneratedMoves):
         for k in self.y.mult:
             c //= math.factorial(k)
         return c
-
-    def enumerate(self) -> Iterator[tuple[int, ...]]:
-        return map(self.decode, self.index())
 
     def code(self, a: Sequence[int]) -> int:
         """``a`` read as a base-256 number, position 0 most significant.
@@ -297,7 +300,7 @@ class FSmSpace(_GeneratedMoves):
         return _fs_moves(self.x.n, self.x.edge_list)(m)
 
 
-class FSmmSpace(_GeneratedMoves):
+class FSmmSpace(_Space):
     """FSmm(X, Y): count matrices, row u = copies of label u on each position.
 
     A move swaps one copy of label u on position y1 with one copy of a
@@ -318,9 +321,6 @@ class FSmmSpace(_GeneratedMoves):
 
     def count(self) -> int:
         return contingency_count(self.x.mult, self.y.mult)
-
-    def enumerate(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        return map(self.decode, self.index())
 
     def code(self, a) -> int:
         """The cells of ``a`` row by row, read as a number in base
@@ -707,30 +707,6 @@ def _state_table(mult: tuple[int, ...]) -> _StateTable:
     return _StateTable(_label_index(mult), sum(mult), _label_steps(len(mult)))
 
 
-def _union(parent, pairs) -> None:
-    """Unions the two ranks of each pair; the smaller root wins, so every
-    root is its component's first arrangement and parent[i] <= i."""
-    for i, j in pairs:
-        r = parent[i]
-        s = parent[j]
-        if r == s:
-            continue
-        # find each root, pointing each step at its grandparent; a root
-        # (most ends in small spaces) is read once
-        if r != i:
-            while r != (g := parent[r]):
-                parent[i] = i = g
-                r = parent[g]
-        if s != j:
-            while s != (g := parent[s]):
-                parent[j] = j = g
-                s = parent[g]
-        if r < s:
-            parent[s] = r
-        elif s < r:
-            parent[r] = s
-
-
 def _local_pairs(table: _StateTable, edges, y_edges) -> array:
     """The local rank pairs of the moves in ``table`` across the step pairs
     ``edges`` and the Y-edges ``y_edges``, flat."""
@@ -766,9 +742,10 @@ def _union_blocks(space, parent, index: _RankIndex,
       these pairs once per (q, s, t), for all its blocks.
 
     With k > 0 a first pass unions each room's suffix links in a list of
-    its own and keeps only each suffix's local root, dropping the room's
-    table.  A block then unions the spanning forest (j, root of j), a
-    prefix link only the roots, and a cross link each pair of local roots
+    its own, keeps only each suffix's local root and drops the room's
+    table.  It writes each of the room's blocks as those roots, b + root
+    of j at rank b + j, before any other link is unioned.  A prefix link
+    then unions only the roots, and a cross link each pair of local roots
     once.
     """
     bits, held, weight = steps = space.steps()
@@ -788,9 +765,12 @@ def _union_blocks(space, parent, index: _RankIndex,
     rooms: dict = {}
     for c, suffixes in fits.items():
         rooms.setdefault(id(suffixes), (suffixes, []))[1].append(c)
-    # each room's local roots, with its number of suffix links
-    forests: dict = {}
-    for key, (suffixes, _) in rooms.items():
+    # a block's parents start at its room's local roots, as ints of _ranks
+    # where parent is a list, so that the entries allocate none
+    ints = _ranks.__getitem__ if isinstance(parent, list) else None
+    roots: dict = {}
+    links = 0
+    for key, (suffixes, prefixes) in rooms.items():
         local = _local_pairs(_StateTable(suffixes, x.n - k, steps),
                              suffix_edges, y.edge_list)
         root = list(range(len(suffixes)))
@@ -798,7 +778,18 @@ def _union_blocks(space, parent, index: _RankIndex,
         _union(root, zip(it, it))
         for j, r in enumerate(root):
             root[j] = root[r]
-        forests[key] = (array("i", root), len(local) >> 1)
+        root = roots[key] = array("i", root)
+        links += (len(local) >> 1) * len(prefixes)
+        if not local:
+            # every suffix is its own root, as its entries already say
+            continue
+        # every slice is written before any link is unioned: a write after
+        # a union would undo the roots it lowered in that block
+        for c in prefixes:
+            b = prefix[c]
+            block = map(add, root, itertools.repeat(b))
+            parent[b:b + len(root)] = (map(ints, block) if ints
+                                       else array(parent.typecode, block))
     up: list[list[int]] = [[] for _ in range(y.n)]
     for s, t in y.edge_list:
         up[s].append(t)
@@ -807,16 +798,10 @@ def _union_blocks(space, parent, index: _RankIndex,
     prefix_edges = [(shift[p], shift[q]) for p, q in x.edge_list if q < k]
     cross_edges = [(shift[p], bits * (x.n - 1 - q), q) for p, q in x.edge_list
                    if p < k <= q]
-    links = 0
     for key, (suffixes, prefixes) in rooms.items():
-        root, count = forests[key]
+        root = roots[key]
         size = len(root)
         tops = array("i", [j for j, r in enumerate(root) if j == r])
-        forest = array("i")
-        for j, r in enumerate(root):
-            if j != r:
-                forest.append(j)
-                forest.append(r)
         # q -> column -> (rank, code) of each suffix with a copy on it at q
         columns: dict = {}
         cross: dict = {}
@@ -831,10 +816,6 @@ def _union_blocks(space, parent, index: _RankIndex,
                             _union(parent, zip(map(add, tops, itertools.repeat(b)),
                                                map(add, tops, itertools.repeat(b2))))
                             links += size
-            if forest:
-                it = map(add, forest, itertools.repeat(b))
-                _union(parent, zip(it, it))
-            links += count
             for hp, hq, q in cross_edges:
                 for s in held[c >> hp & mask]:
                     for t in up[s]:
@@ -852,7 +833,7 @@ def _union_blocks(space, parent, index: _RankIndex,
                                     for u in held[d >> hq & mask]:
                                         column.setdefault(u, []).append((j, d))
                             there = fits[moved]
-                            root2 = forests[id(there)][0]
+                            root2 = roots[id(there)]
                             delta = (weight[s] - weight[t]) << hq
                             ends = dict.fromkeys((root[j], root2[there[d + delta]])
                                                  for j, d in column[t])
@@ -1078,17 +1059,17 @@ def quotient_audit(x: SimpleGraph, y: MultiplicityGraph,
     # lifted label -> block, and so the bytes of an fsm arrangement
     n = x.n
     blocks = bytes(cliques.block_of).ljust(256, b"\0")
-    uf = _UnionFind(lifted_report.component_count)
+    # each arrangement's component glues to the first one with its projection
     groups: dict[bytes, int] = {}
-    for c, cid in lifted_report.component_id.coded():
-        proj = c.to_bytes(n, "big").translate(blocks)
-        if proj in groups:
-            uf.union(cid, groups[proj])
-        else:
-            groups[proj] = cid
+    glue = ((cid, groups.setdefault(c.to_bytes(n, "big").translate(blocks), cid))
+            for c, cid in lifted_report.component_id.coded())
+    root = list(range(lifted_report.component_count))
+    _union(root, glue)
+    for j, r in enumerate(root):
+        root[j] = root[r]
     projected: dict[int, set] = {}
     for proj, cid in groups.items():
-        projected.setdefault(uf.find(cid), set()).add(proj)
+        projected.setdefault(root[cid], set()).add(proj)
     lifted_partition = {frozenset(s) for s in projected.values()}
 
     direct = build_components(x, y, budget=budget, variant="fsm")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from fsglab.graphs import (
     star_graph,
     theta0,
     wilson_star_components,
+    _union,
 )
 import reference
 from fsglab import families
@@ -441,6 +443,35 @@ def test_cyclic_order_count_unit_iff_pair_with_one():
         assert (cyclic_order_count(mults) == 1) == (1 in mults)
     for mults in itertools.product(range(1, 4), repeat=3):
         assert cyclic_order_count(mults) != 1
+
+
+# -- disjoint sets ------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=3 * n))),
+       st.sampled_from(["list", "array"]))
+def test_union_then_roots_pass_matches_reference(case, kind):
+    # one pass in increasing order after _union leaves every entry at its
+    # root, the smallest member of its set
+    n, drawn = case
+    # every stream repeats pairs, in both orders, and has self-pairs
+    pairs = (drawn + [(j, i) for i, j in drawn[:n]] + drawn[:n]
+             + [(i, i) for i, _ in drawn[:3]])
+    parent = list(range(n)) if kind == "list" else array("i", range(n))
+    _union(parent, pairs)
+    assert all(parent[i] <= i for i in range(n))
+    for j, r in enumerate(parent):
+        parent[j] = parent[r]
+    uf = reference._UnionFind(n)
+    for i, j in pairs:
+        uf.union(i, j)
+    sets: dict = {}
+    for v in range(n):
+        sets.setdefault(uf.find(v), []).append(v)
+    assert {v: members[0] for members in sets.values() for v in members} == \
+        dict(enumerate(parent))
 
 
 # -- JSON ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from fsglab.graphs import (
     complete_graph,
     cycle_graph,
     edgeless_graph,
+    lift,
     path_graph,
     star_graph,
 )
@@ -396,6 +397,15 @@ def test_quotient_audit_identity_when_unit_mults():
 def test_quotient_audit_cycle4_vs_p3():
     y = MultiplicityGraph(path_graph(3), (1, 1, 2))
     assert quotient_audit(cycle_graph(4), y)
+
+
+def test_quotient_audit_on_a_multi_block_lift():
+    # the lift of P3 x (3,3,2) has 8 labels, so its fs space on C8 has 8!
+    # arrangements, above the 7! one-block bound: the multi-block path
+    y = MultiplicityGraph(path_graph(3), (3, 3, 2))
+    states = space_for(cycle_graph(8), lift(y)[0], "fs").count()
+    assert states == 40_320 > statespace._TABLE_STATES
+    assert quotient_audit(cycle_graph(8), y)
 
 
 def test_quotient_audit_small_family():
