@@ -4,10 +4,13 @@ Graph classes are grown one vertex at a time (vertex augmentation, after
 McKay 1998, "Isomorph-free exhaustive generation"): every class on n
 vertices is a class on n - 1 vertices plus a vertex joined to some subset
 of the old ones.  ``canonical_key`` rejects isomorphs among those
-candidates; a cheap iterated-degree coloring prunes its permutation
-search.  Each class is then represented by its labelling with the smallest
-edge mask, found by a pruned search over vertex placements.  This is
-plenty for the vertex counts used here (n <= 6, occasionally 7).
+candidates: its key is the smallest edge mask over the labellings that
+keep a cheap iterated-degree coloring in order.  Each class is then
+represented by its labelling with the smallest edge mask over all
+labellings.  One pruned search over vertex placements finds both
+minima, level by level, keeping only the placements whose new row is
+least.  This is plenty for the vertex counts used here (n <= 6,
+occasionally 7).
 """
 
 from __future__ import annotations
@@ -25,12 +28,6 @@ def _edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(n), 2))
 
 
-@lru_cache(maxsize=None)
-def _pair_bits(n: int) -> dict[tuple[int, int], int]:
-    """Pair (u, v), u < v, to its bit ``1 << _edge_pairs(n).index((u, v))``."""
-    return {p: 1 << i for i, p in enumerate(_edge_pairs(n))}
-
-
 def _wl_colors(n: int, adj: list[list[int]]) -> tuple[int, ...]:
     colors = [len(a) for a in adj]
     for _ in range(2):
@@ -45,67 +42,63 @@ def _wl_colors(n: int, adj: list[list[int]]) -> tuple[int, ...]:
 
 def canonical_key(g: SimpleGraph) -> tuple:
     """Isomorphism-invariant key: minimum edge bitmask over all vertex
-    permutations that preserve the refined color classes."""
+    permutations that preserve the refined color classes (each class on a
+    run of positions, classes in increasing color order)."""
     n = g.n
-    pair_bits = _pair_bits(n)
-    adj = [list(g.neighbors(v)) for v in range(n)]
-    colors = _wl_colors(n, adj)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(colors[v], []).append(v)
-    ordered_groups = [groups[c] for c in sorted(groups)]
-    slots: list[int] = []
-    for grp in ordered_groups:
-        slots.extend(range(len(slots), len(slots) + len(grp)))
-    best = None
-    for placed in itertools.product(
-        *(itertools.permutations(grp) for grp in ordered_groups)
-    ):
-        perm = [0] * n  # old vertex -> new position
-        i = 0
-        for grp_perm in placed:
-            for v in grp_perm:
-                perm[v] = slots[i]
-                i += 1
-        m2 = 0
-        for u, v in g.edge_list:
-            a, b = perm[u], perm[v]
-            if a > b:
-                a, b = b, a
-            m2 |= pair_bits[(a, b)]
-        if best is None or m2 < best:
-            best = m2
-    return (n, best)
+    return (n, _least_mask(g, _wl_colors(n, [g.neighbors(v) for v in range(n)]))[0])
 
 
-def _min_mask_labelling(g: SimpleGraph) -> SimpleGraph:
-    """The relabelling of ``g`` with the smallest edge mask, bit i standing
-    for ``_edge_pairs(n)[i]``.
+def _least_mask(g: SimpleGraph, colors: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """The smallest edge mask, bit i standing for ``_edge_pairs(n)[i]``, over
+    the labellings that put the vertices of each color on a run of
+    positions, colors increasing; and the vertices that one such labelling
+    puts at positions n - 1, n - 2, ..., 0.
 
     Positions are filled n - 1, n - 2, ..., 0.  Placing a vertex at
     position k fixes the bits of the pairs (k, j), j > k, which are the
     next-highest bits of the mask after those already fixed; read with
     j = n - 1 most significant, they form the vertex's row.  So only the
     partial labellings whose new row is the smallest of the level can
-    extend to the minimum, and the search keeps just those."""
+    extend to the minimum, and the search keeps just those.  Two of them
+    that placed the same vertices and left the same rows have the same
+    completions, so a level keeps one of each.  A level's rows are one int,
+    vertex u's row in the n bits from u * n up."""
     n = g.n
-    adj = [0] * n
+    field = (1 << n) - 1
+    col = [0] * n   # col[w]: the bits u * n of w's neighbours u
     for u, v in g.edge_list:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    # (vertices placed, positions n-1 downward; rows of every vertex over them)
-    level = [((), [0] * n)]
-    for _ in range(n):
-        best = min(rows[v] for placed, rows in level
-                   for v in range(n) if v not in placed)
-        level = [
-            (placed + (w,), [r << 1 | adj[u] >> w & 1 for u, r in enumerate(rows)])
-            for placed, rows in level
-            for w in range(n) if w not in placed and rows[w] == best
-        ]
-    placed = level[0][0]
+        col[u] |= 1 << v * n
+        col[v] |= 1 << u * n
+    members: dict[int, list[tuple[int, int]]] = {}
+    for v, c in enumerate(colors):
+        members.setdefault(c, []).append((v, v * n))
+    slot = sorted(colors)   # the color of each position
+    # (rows of the unplaced vertices, their fields) -> the vertices placed
+    level = {(0, (1 << n * n) - 1): ()}
+    mask = 0
+    low_bit = n * (n - 1) // 2   # bit of the pair (k, k + 1)
+    for k in range(n - 1, -1, -1):
+        cand = members[slot[k]]
+        best = min([rows >> s & field for rows, live in level
+                    for _, s in cand if live >> s & 1])
+        low_bit -= n - 1 - k
+        mask |= best << low_bit
+        nxt: dict[tuple[int, int], tuple[int, ...]] = {}
+        for (rows, live), placed in level.items():
+            for w, s in cand:
+                if live >> s & 1 and rows >> s & field == best:
+                    left = live & ~(field << s)
+                    nxt.setdefault(((rows << 1 | col[w]) & left, left), placed + (w,))
+        level = nxt
+    return mask, next(iter(level.values()))
+
+
+def _min_mask_labelling(g: SimpleGraph) -> SimpleGraph:
+    """The relabelling of ``g`` with the smallest edge mask, bit i standing
+    for ``_edge_pairs(n)[i]``."""
+    n = g.n
     pos = [0] * n
-    for i, v in enumerate(placed):
+    for i, v in enumerate(_least_mask(g, [0] * n)[1]):
         pos[v] = n - 1 - i
     return SimpleGraph(n, [(pos[u], pos[v]) for u, v in g.edge_list])
 

@@ -11,6 +11,14 @@ Vertex-deletion questions are asked of the graph itself: the
 of ``subgraph`` on the rest, given in the original vertex ids.  Because
 ``subgraph`` relabels monotonically, the order of the answer is the same
 too.
+
+Small graphs are built and queried by the thousand, so the primitives
+avoid repeated work: the constructor checks and canonicalises each edge
+once and fills the adjacency from the sorted edge list, which already
+lists every vertex's neighbours in increasing order; ``subgraph`` keeps a
+canonical sorted edge list canonical and sorted, so it skips the checks
+and the sort; and a graph keeps its own ``articulation_analysis`` answer,
+which is safe because a ``SimpleGraph`` never changes.
 """
 
 from __future__ import annotations
@@ -33,26 +41,35 @@ class IncompatibleSizesError(ValueError):
 class SimpleGraph:
     """Undirected, loop-free graph on vertices ``0..n-1``."""
 
-    __slots__ = ("n", "edges", "edge_list", "_adj")
+    __slots__ = ("n", "edges", "edge_list", "_adj", "_cuts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         canon = set()
+        add = canon.add
         for u, v in edges:
-            if u == v:
+            a, b = (u, v) if u < v else (v, u)
+            if a == b:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
+            if a < 0 or b >= n:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            canon.add((u, v) if u < v else (v, u))
-        self.n = n
-        self.edges = frozenset(canon)
-        self.edge_list: tuple[tuple[int, int], ...] = tuple(sorted(canon))
+            add((a, b))
+        self._fill(n, tuple(sorted(canon)))
+
+    def _fill(self, n: int, edge_list: tuple[tuple[int, int], ...]) -> None:
+        """Sets every field from ``edge_list``, which must be canonical and
+        sorted: then each vertex's neighbours arrive in increasing order."""
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edge_list:
+        for u, v in edge_list:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self.n = n
+        self.edges = frozenset(edge_list)
+        self.edge_list = edge_list
+        self._adj = tuple(map(tuple, adj))
+        # articulation_analysis(self), filled on the first call
+        self._cuts: Optional[tuple[frozenset[int], bool]] = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -116,13 +133,16 @@ class SimpleGraph:
         return self.n <= 1 or len(self.connected_components()) == 1
 
     def subgraph(self, keep: Iterable[int]) -> tuple["SimpleGraph", list[int]]:
-        """Induced subgraph on ``keep``; returns (graph, old-vertex list)."""
+        """Induced subgraph on ``keep``; returns (graph, old-vertex list).
+
+        The relabelling is monotone, so the kept edges stay canonical and
+        sorted and need neither checks nor a sort."""
         old = sorted(set(keep))
         idx = {v: i for i, v in enumerate(old)}
-        edges = [
-            (idx[u], idx[v]) for u, v in self.edge_list if u in idx and v in idx
-        ]
-        return SimpleGraph(len(old), edges), old
+        sub = SimpleGraph.__new__(SimpleGraph)
+        sub._fill(len(old), tuple(
+            (idx[u], idx[v]) for u, v in self.edge_list if u in idx and v in idx))
+        return sub, old
 
     def is_cycle_graph(self) -> bool:
         return (
@@ -182,8 +202,11 @@ def articulation_analysis(
     adjacency).
 
     A graph is biconnected here iff it is connected, has no cut vertex and
-    has at least 3 vertices.
+    has at least 3 vertices.  ``SimpleGraph`` is immutable, so the answer
+    for the whole graph is kept on it after the first call.
     """
+    if not removed and g._cuts is not None:
+        return g._cuts
     n = g.n
     alive = [True] * n
     for v in removed:
@@ -229,7 +252,10 @@ def articulation_analysis(
             cut[root] = True
     cut_set = frozenset(v for v in range(n) if cut[v])
     biconnected = comps == 1 and not cut_set and sum(alive) >= 3
-    return cut_set, biconnected
+    if removed:
+        return cut_set, biconnected
+    g._cuts = cut_set, biconnected
+    return g._cuts
 
 
 # -- the exceptional 7-vertex graph -----------------------------------------
@@ -478,18 +504,45 @@ def find_blocking_chains(g: SimpleGraph, k: int) -> list[tuple[int, ...]]:
         return find_k_bridges(g, k)
     if k != 2:
         raise ValueError("blocking chains are defined for k >= 2")
-    base = len(g.connected_components())
-    out = []
-    for a, b in g.edge_list:
-        rest = SimpleGraph(g.n, [e for e in g.edge_list if e != (a, b)])
-        comps = rest.connected_components()
-        if len(comps) == base:
+    # one low-link DFS (Tarjan 1972): a tree edge (p, c) is a cut edge iff
+    # low[c] > disc[p], and its sides are c's subtree and the rest of the
+    # component
+    n = g.n
+    disc = [-1] * n
+    low = [0] * n
+    size = [1] * n
+    blocking = set()
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
             continue
-        side_a = next(c for c in comps if a in c)
-        side_b = next(c for c in comps if b in c)
-        if len(side_a) >= 2 and len(side_b) >= 2:
-            out.append((a, b))
-    return out
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [(root, -1, iter(g.neighbors(root)))]
+        bridges = []   # (parent, child) of this component's cut edges
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:
+                if disc[w] == -1:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, v, iter(g.neighbors(w))))
+                    break
+                if w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if parent != -1:
+                    size[parent] += size[v]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    elif low[v] > disc[parent]:
+                        bridges.append((parent, v))
+        total = size[root]
+        for p, c in bridges:
+            if 2 <= size[c] <= total - 2:
+                blocking.add((p, c) if p < c else (c, p))
+    return [e for e in g.edge_list if e in blocking]
 
 
 def _degree2_chains(g: SimpleGraph, length: int) -> Iterator[tuple[int, ...]]:
@@ -690,10 +743,28 @@ def graph_to_json_dict(g) -> dict:
 
 
 def graph_from_json_dict(d: dict):
-    """Returns a SimpleGraph, or a MultiplicityGraph when "mult" is present."""
+    """Returns a SimpleGraph, or a MultiplicityGraph when "mult" is present.
+
+    The vertex count, every endpoint and every multiplicity must be an
+    integer (not a bool, not a float), and every edge a pair."""
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise ValueError("graph JSON needs fields 'n' and 'edges'")
-    g = SimpleGraph(int(d["n"]), [tuple(e) for e in d["edges"]])
-    if "mult" in d and d["mult"] is not None:
-        return MultiplicityGraph(g, [int(c) for c in d["mult"]])
-    return g
+    edges = d["edges"]
+    if not isinstance(edges, list) or not all(
+            isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
+        raise ValueError("graph JSON 'edges' must be a list of vertex pairs")
+    g = SimpleGraph(_json_int(d["n"], "'n'"),
+                    [(_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint"))
+                     for u, v in edges])
+    mult = d.get("mult")
+    if mult is None:
+        return g
+    if not isinstance(mult, list):
+        raise ValueError("graph JSON 'mult' must be a list")
+    return MultiplicityGraph(g, [_json_int(c, "multiplicity") for c in mult])
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:   # bool is a subclass of int
+        raise ValueError(f"graph JSON {what} must be an integer, not {value!r}")
+    return value

@@ -90,6 +90,23 @@ def test_components_bad_json(workdir):
     assert main(["components", "--x", "bad.json", "--y", "p3.json"]) == 2
 
 
+@pytest.mark.parametrize("graph, error", [
+    ({"n": 2.7, "edges": []}, "graph JSON 'n' must be an integer, not 2.7"),
+    ({"n": 2, "edges": [[0, True]]},
+     "graph JSON edge endpoint must be an integer, not True"),
+    ({"n": 2, "edges": [[0, 1]], "mult": [1, 1.9]},
+     "graph JSON multiplicity must be an integer, not 1.9"),
+    ({"n": 3, "edges": [[0, 1, 2]]},
+     "graph JSON 'edges' must be a list of vertex pairs"),
+], ids=["n-float", "endpoint-bool", "mult-float", "edge-triple"])
+def test_components_rejects_non_integer_graph_json(workdir, capsys, graph, error):
+    with open("bad.json", "w") as fh:
+        json.dump(graph, fh)
+    assert main(["components", "--x", "bad.json", "--y", "p3.json"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: bad graph JSON in bad.json: {error}\n")
+
+
 def test_predict_cor511(workdir, capsys):
     assert main(["predict", "--theorem", "cor511", "--x", "edge12.json",
                  "--check"]) == 0

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from array import array
 
 import pytest
@@ -66,6 +67,52 @@ def test_complement_triangle_is_edgeless():
 @given(random_graph_strategy())
 def test_complement_involution(g):
     assert complement(complement(g)) == g
+
+
+# -- construction and subgraphs ------------------------------------------------
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+             .filter(lambda e: e[0] != e[1]), max_size=3 * n))))
+def test_adjacency_rows_sorted_for_any_edge_order(case):
+    # edges in any order and orientation, repeats included
+    n, edges = case
+    g = SimpleGraph(n, edges)
+    assert g.edge_list == tuple(sorted({(min(e), max(e)) for e in edges}))
+    for v in range(n):
+        assert list(g.neighbors(v)) == sorted(
+            w for e in g.edge_list if v in e for w in e if w != v)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_graph_strategy(max_n=8).flatmap(lambda g: st.tuples(
+    st.just(g), st.sets(st.integers(0, g.n - 1)))))
+def test_subgraph_equals_constructed_relabelling(case):
+    g, keep = case
+    sub, old = g.subgraph(keep)
+    idx = {v: i for i, v in enumerate(old)}
+    built = SimpleGraph(len(old), [(idx[u], idx[v]) for u, v in g.edge_list
+                                   if u in idx and v in idx])
+    assert old == sorted(keep)
+    assert (sub.n, sub.edges, sub.edge_list) == (built.n, built.edges, built.edge_list)
+    assert [sub.neighbors(v) for v in range(sub.n)] == [
+        built.neighbors(v) for v in range(built.n)]
+
+
+@pytest.mark.parametrize("n, edges, error", [
+    (3, [(0, 1), (2, 2), (0, 5)], "loop at vertex 2"),
+    (3, [(0, 1), (0, 5), (2, 2)], r"edge \(0,5\) out of range for n=3"),
+    (3, [(5, 0), (1, 1)], r"edge \(5,0\) out of range for n=3"),
+    (3, [(1, 0), (-1, 2)], r"edge \(-1,2\) out of range for n=3"),
+    (3, [(2, -1)], r"edge \(2,-1\) out of range for n=3"),
+    (2, [(7, 7), (0, 9)], "loop at vertex 7"),
+], ids=["loop-first", "range-first", "range-reversed", "negative-first",
+        "negative-second", "loop-out-of-range"])
+def test_first_offending_edge_is_reported(n, edges, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        SimpleGraph(n, edges)
 
 
 # -- bipartition ---------------------------------------------------------------
@@ -344,6 +391,31 @@ def test_blocking_chains_k2_is_cut_edge_with_big_sides():
     assert find_blocking_chains(cycle_graph(5), 2) == []
 
 
+def _blocking_chains_by_deletion(g):
+    # the definition: delete each edge in turn and look at the two sides
+    base = len(g.connected_components())
+    out = []
+    for a, b in g.edge_list:
+        comps = SimpleGraph(g.n, [e for e in g.edge_list if e != (a, b)]
+                            ).connected_components()
+        if len(comps) == base:
+            continue
+        side_a = next(c for c in comps if a in c)
+        side_b = next(c for c in comps if b in c)
+        if len(side_a) >= 2 and len(side_b) >= 2:
+            out.append((a, b))
+    return out
+
+
+def test_blocking_chains_k2_match_edge_deletion():
+    # every labelled graph through five vertices, every class (connected or
+    # not) through seven
+    graphs = [g for n in range(0, 6) for g in reference.all_graphs(n)]
+    graphs += [g for n in range(6, 8) for g in families.graph_classes(n)]
+    for g in graphs:
+        assert find_blocking_chains(g, 2) == _blocking_chains_by_deletion(g), g
+
+
 def test_blocking_chains_k3_equals_kbridges():
     rng = random.Random(12)
     for _ in range(40):
@@ -529,3 +601,26 @@ def test_graph_hash_and_repr():
 def test_graph_json_rejects_garbage():
     with pytest.raises(ValueError):
         graph_from_json_dict({"edges": []})
+
+
+@pytest.mark.parametrize("d, error", [
+    ({"n": 2.7, "edges": []}, "'n' must be an integer, not 2.7"),
+    ({"n": True, "edges": []}, "'n' must be an integer, not True"),
+    ({"n": "3", "edges": []}, "'n' must be an integer, not '3'"),
+    ({"n": 2, "edges": [[0, True]]}, "edge endpoint must be an integer, not True"),
+    ({"n": 2, "edges": [[0, 1.0]]}, "edge endpoint must be an integer, not 1.0"),
+    ({"n": 2, "edges": [[0, 1]], "mult": [1, 1.9]},
+     "multiplicity must be an integer, not 1.9"),
+    ({"n": 2, "edges": [[0, 1]], "mult": [1, False]},
+     "multiplicity must be an integer, not False"),
+    ({"n": 2, "edges": [[0, 1]], "mult": "12"}, "'mult' must be a list"),
+    ({"n": 3, "edges": [[0, 1, 2]]}, "must be a list of vertex pairs"),
+    ({"n": 3, "edges": [[0]]}, "must be a list of vertex pairs"),
+    ({"n": 3, "edges": ["01"]}, "must be a list of vertex pairs"),
+    ({"n": 3, "edges": {"0": 1}}, "must be a list of vertex pairs"),
+], ids=["n-float", "n-bool", "n-string", "endpoint-bool", "endpoint-float",
+        "mult-float", "mult-bool", "mult-string", "edge-triple", "edge-single",
+        "edge-string", "edges-object"])
+def test_graph_json_rejects_non_integers_and_non_pairs(d, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        graph_from_json_dict(d)

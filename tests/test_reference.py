@@ -445,6 +445,23 @@ def test_masked_deletion_matches_subgraph(case):
         frozenset(old[i] for i in cuts), biconnected)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    simple_graphs(n), st.sets(st.integers(0, n - 1), min_size=1))))
+def test_articulation_memo_matches_reference(case):
+    # the whole-graph answer is kept on the graph; a later question about
+    # G - removed is answered for G - removed and leaves the kept answer be
+    g, removed = case
+    expected = reference.articulation_analysis(g)
+    assert articulation_analysis(g) == expected
+    assert articulation_analysis(g) is articulation_analysis(g)
+    sub, old = g.subgraph(set(range(g.n)) - removed)
+    cuts, biconnected = reference.articulation_analysis(sub)
+    assert articulation_analysis(g, removed) == (
+        frozenset(old[i] for i in cuts), biconnected)
+    assert articulation_analysis(g) == expected
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_is_wilsonian_matches_reference(n):
     for g in families.graph_classes(n):
@@ -459,6 +476,21 @@ def test_is_wilsonian_matches_reference(n):
 def test_graph_classes_match_reference(n, connected):
     assert [(g.n, g.edge_list) for g in families.graph_classes(n, connected)] == [
         (g.n, g.edge_list) for g in reference.graph_classes(n, connected)]
+
+
+def test_canonical_key_matches_reference():
+    # every labelled graph through five vertices, then every class on six
+    # and seven vertices under a random relabelling
+    for n in range(0, 6):
+        for g in reference.all_graphs(n):
+            assert families.canonical_key(g) == reference.canonical_key(g), g
+    rng = random.Random(29)
+    for n in (6, 7):
+        for rep in families.graph_classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = SimpleGraph(n, [(perm[u], perm[v]) for u, v in rep.edge_list])
+            assert families.canonical_key(g) == reference.canonical_key(g), g
 
 
 def test_graph_class_counts_at_seven_vertices():
