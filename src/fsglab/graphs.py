@@ -55,17 +55,21 @@ class SimpleGraph:
             if a < 0 or b >= n:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             add((a, b))
-        self._fill(n, tuple(sorted(canon)))
+        self._fill(n, tuple(sorted(canon)), frozenset(canon))
 
-    def _fill(self, n: int, edge_list: tuple[tuple[int, int], ...]) -> None:
+    def _fill(self, n: int, edge_list: tuple[tuple[int, int], ...],
+              edges: frozenset[tuple[int, int]]) -> None:
         """Sets every field from ``edge_list``, which must be canonical and
-        sorted: then each vertex's neighbours arrive in increasing order."""
+        sorted: then each vertex's neighbours arrive in increasing order.
+        ``edges`` holds the same pairs, copied from a set: a frozenset grown
+        pair by pair from a tuple keeps a larger table (728 against 472
+        bytes at five to seven edges)."""
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edge_list:
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
-        self.edges = frozenset(edge_list)
+        self.edges = edges
         self.edge_list = edge_list
         self._adj = tuple(map(tuple, adj))
         # articulation_analysis(self), filled on the first call
@@ -139,9 +143,10 @@ class SimpleGraph:
         sorted and need neither checks nor a sort."""
         old = sorted(set(keep))
         idx = {v: i for i, v in enumerate(old)}
+        kept = tuple(
+            (idx[u], idx[v]) for u, v in self.edge_list if u in idx and v in idx)
         sub = SimpleGraph.__new__(SimpleGraph)
-        sub._fill(len(old), tuple(
-            (idx[u], idx[v]) for u, v in self.edge_list if u in idx and v in idx))
+        sub._fill(len(old), kept, frozenset(set(kept)))
         return sub, old
 
     def is_cycle_graph(self) -> bool:

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import sys
 from array import array
 
 import pytest
@@ -99,6 +100,8 @@ def test_subgraph_equals_constructed_relabelling(case):
     assert (sub.n, sub.edges, sub.edge_list) == (built.n, built.edges, built.edge_list)
     assert [sub.neighbors(v) for v in range(sub.n)] == [
         built.neighbors(v) for v in range(built.n)]
+    # the edge set is no larger in memory than the constructor's
+    assert sys.getsizeof(sub.edges) == sys.getsizeof(built.edges)
 
 
 @pytest.mark.parametrize("n, edges, error", [
